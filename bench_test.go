@@ -397,55 +397,6 @@ func BenchmarkServeApply(b *testing.B) {
 	})
 }
 
-// Per-stage cost of a warm resident sweep, for scripts/bench_serve.sh:
-// the same corpus and patch as BenchmarkServeApply, reporting each
-// pipeline stage's self-time (from the sweep's internal trace) as a
-// custom "<stage>-ns/op" metric alongside the usual ns/op. The stage
-// vocabulary is docs/observability.md's.
-func BenchmarkServeStageBreakdown(b *testing.B) {
-	e, ok := patchlib.ByID("L1")
-	if !ok {
-		b.Fatal("experiment L1 missing")
-	}
-	p, err := ParsePatch("batch.cocci", e.Patch)
-	if err != nil {
-		b.Fatal(err)
-	}
-	root := b.TempDir()
-	for i := 0; i < 48; i++ {
-		src := codegen.OpenMP(codegen.Config{Funcs: 8 + i%5, StmtsPerFunc: 3, Seed: int64(i + 1)})
-		if err := os.WriteFile(filepath.Join(root, fmt.Sprintf("src%02d.c", i)), []byte(src), 0o644); err != nil {
-			b.Fatal(err)
-		}
-	}
-	server := NewServer(Options{Workers: 1})
-	defer server.Close()
-	sess, err := server.AddSession(SessionConfig{
-		ID: "bench-stages", Root: root, Patches: []*Patch{p}, Options: Options{Workers: 1},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := sess.Run(nil); err != nil { // warm the session
-		b.Fatal(err)
-	}
-	totals := map[string]float64{}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st, err := sess.Run(nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for stage, sec := range st.StageSeconds {
-			totals[stage] += sec
-		}
-	}
-	b.StopTimer()
-	for stage, sec := range totals {
-		b.ReportMetric(sec*1e9/float64(b.N), stage+"-ns/op")
-	}
-}
-
 // Prefilter effect: batch apply over a corpus where ~90% of the files
 // cannot match the patch, the realistic shape of a whole-codebase run (the
 // paper's spatch+glimpse scenario). The prefilter rejects non-candidate

@@ -171,12 +171,9 @@ func main() {
 		g.ruleMatches[i] = map[string]int{}
 	}
 	start := time.Now()
-	switch {
-	case *recurse && len(patches) > 1:
-		g.runCampaign(patches, opts, args)
-	case *recurse:
-		g.runBatch(patches[0], opts, args)
-	default:
+	if *recurse {
+		g.runRecursive(patches, opts, args)
+	} else {
 		g.runSingle(patches, opts, args)
 	}
 	elapsed := time.Since(start)
@@ -205,9 +202,10 @@ func main() {
 					verifySuffix(*verify, ps.Demoted, ps.Warnings))
 			}
 		case *recurse:
+			ps := g.cst.PerPatch[0]
 			fmt.Fprintf(os.Stderr, "gocci: %d files scanned, %d skipped by prefilter, %d cached, %d matched (%d matches), %d changed, %d errors, %d functions matched, %d functions cached%s in %v\n",
-				g.st.Files, g.st.Skipped, g.st.Cached, g.st.Matched, g.st.Matches, g.st.Changed, g.st.Errors, g.st.FuncsMatched, g.st.FuncsCached,
-				verifySuffix(*verify, g.st.Demoted, g.st.Warnings), elapsed.Round(time.Millisecond))
+				g.cst.Files, ps.Skipped, ps.Cached, ps.Matched, ps.Matches, g.cst.Changed, g.cst.Errors, ps.FuncsMatched, ps.FuncsCached,
+				verifySuffix(*verify, ps.Demoted, ps.Warnings), elapsed.Round(time.Millisecond))
 		default:
 			// One engine run over all files: matches are not attributed
 			// per file, so no per-file "matched" count is reported.
@@ -339,30 +337,11 @@ func verifySuffix(on bool, demoted, warnings int) string {
 	return fmt.Sprintf(", %d demoted, %d warnings", demoted, warnings)
 }
 
-// runBatch applies one patch per-file across directory trees with the
-// worker pool; file contents are read lazily inside the pool.
-func (g *gocci) runBatch(patch *sempatch.Patch, opts sempatch.Options, dirs []string) {
-	paths, err := collectSources(dirs)
-	if err != nil {
-		fatal(err)
-	}
-	ba := sempatch.NewBatchApplier(patch, opts)
-	st, err := ba.ApplyAllPathsFunc(paths, func(fr sempatch.FileResult) error {
-		for rule, n := range fr.MatchCount {
-			g.ruleMatches[0][rule] += n
-		}
-		return g.emit(fr)
-	})
-	g.cacheStatus = ba.CacheStatus()
-	if err != nil {
-		fatal(err)
-	}
-	g.st = st
-}
-
-// runCampaign applies several patches in one sweep across directory trees:
-// each file sees the patches in command order but is parsed at most once.
-func (g *gocci) runCampaign(patches []*sempatch.Patch, opts sempatch.Options, dirs []string) {
+// runRecursive applies the patches per-file across directory trees with the
+// worker pool, as one campaign: each file sees the patches in command order
+// but is parsed at most once, and file contents are read lazily inside the
+// pool.
+func (g *gocci) runRecursive(patches []*sempatch.Patch, opts sempatch.Options, dirs []string) {
 	paths, err := collectSources(dirs)
 	if err != nil {
 		fatal(err)
@@ -404,19 +383,13 @@ func (g *gocci) runSingle(patches []*sempatch.Patch, opts sempatch.Options, path
 		files = append(files, sempatch.File{Name: path, Src: string(b)})
 		orig[path] = string(b)
 	}
-	// Like campaign mode, a -D name must be declared virtual by at least
+	// Like recursive mode, a -D name must be declared virtual by at least
 	// one patch, and each patch only sees the names it declares — a
-	// campaign-wide define set may mix names for different patches.
-	declared := map[string]bool{}
-	for _, p := range patches {
-		for _, v := range p.Virtuals() {
-			declared[v] = true
-		}
-	}
-	for _, d := range opts.Defines {
-		if !declared[d] {
-			fatal(fmt.Errorf("define %q is not declared virtual in any patch", d))
-		}
+	// campaign-wide define set may mix names for different patches. An empty
+	// campaign run reports exactly that configuration error, worded as
+	// recursive mode words it.
+	if _, err := sempatch.NewCampaign(patches, opts).ApplyAllFunc(nil, nil); err != nil {
+		fatal(err)
 	}
 	outputs := map[string]string{}
 	diffs := map[string]string{}

@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/smpl"
 )
@@ -17,6 +19,20 @@ expression list el;
 - old_api(el)
 + new_api(el)
 `
+
+// single returns the one-member campaign that single-patch tests drive.
+func single(p *smpl.Patch, opts Options) *Campaign {
+	return NewCampaign([]*smpl.Patch{p}, opts)
+}
+
+// only returns a file's outcome under its campaign's sole member: the zero
+// outcome when a per-file error stopped the file first.
+func only(fr CampaignFileResult) PatchOutcome {
+	if len(fr.Patches) == 0 {
+		return PatchOutcome{}
+	}
+	return fr.Patches[0]
+}
 
 func parsePatch(t *testing.T, text string) *smpl.Patch {
 	t.Helper()
@@ -44,16 +60,16 @@ func corpus(n int) []core.SourceFile {
 }
 
 func TestEmptyFileSet(t *testing.T) {
-	r := New(parsePatch(t, renamePatch), Options{Workers: 4})
-	st, err := r.Collect(nil, func(FileResult) error {
+	r := single(parsePatch(t, renamePatch), Options{Workers: 4})
+	st, err := r.Collect(nil, func(CampaignFileResult) error {
 		t.Error("callback invoked for empty set")
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st != (Stats{}) {
-		t.Errorf("stats = %+v, want zero", st)
+	if want := (CampaignStats{PerPatch: []PatchStats{{Patch: "t.cocci"}}}); !reflect.DeepEqual(st, want) {
+		t.Errorf("stats = %+v, want %+v", st, want)
 	}
 }
 
@@ -72,9 +88,9 @@ func TestDeterministicOrderAndOutputs(t *testing.T) {
 	}
 
 	for _, workers := range []int{1, 3, 16} {
-		r := New(patch, Options{Workers: workers})
-		var got []FileResult
-		r.Run(files, func(fr FileResult) bool {
+		r := single(patch, Options{Workers: workers})
+		var got []CampaignFileResult
+		r.Run(files, func(fr CampaignFileResult) bool {
 			got = append(got, fr)
 			return true
 		})
@@ -107,7 +123,7 @@ func TestParseFailureMidBatch(t *testing.T) {
 	// a broken file without the patch's atoms is skipped unparsed (see
 	// TestPrefilterSkipsUnparseable).
 	files[4] = core.SourceFile{Name: "broken.c", Src: "void f( {{{ old_api"}
-	r := New(parsePatch(t, renamePatch), Options{Workers: 4})
+	r := single(parsePatch(t, renamePatch), Options{Workers: 4})
 	st, err := r.Collect(files, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -121,21 +137,29 @@ func TestParseFailureMidBatch(t *testing.T) {
 	if st.Changed != 3 { // indices 0, 3, 6 contain old_api
 		t.Errorf("Changed = %d, want 3", st.Changed)
 	}
+	// A parse that fails still counts as parsed: the three old_api files
+	// plus broken.c; the rest are prefilter skips.
+	if st.Parsed != 4 {
+		t.Errorf("Parsed = %d, want 4 (failed parses count)", st.Parsed)
+	}
 
 	// The failing file reports its error in order, with the name attached.
-	var got []FileResult
-	r.Run(files, func(fr FileResult) bool { got = append(got, fr); return true })
+	var got []CampaignFileResult
+	r.Run(files, func(fr CampaignFileResult) bool { got = append(got, fr); return true })
 	if got[4].Err == nil || got[4].Name != "broken.c" {
 		t.Errorf("result 4 = %+v, want parse error for broken.c", got[4])
 	}
 	if !strings.Contains(got[4].Err.Error(), "broken.c") {
 		t.Errorf("error should name the file: %v", got[4].Err)
 	}
+	if !got[4].Parsed || len(got[4].Patches) != 0 {
+		t.Errorf("result 4: Parsed=%v with %d outcomes, want a parsed file and no outcome", got[4].Parsed, len(got[4].Patches))
+	}
 }
 
 func TestWorkerCountExceedsFiles(t *testing.T) {
 	files := corpus(2)
-	r := New(parsePatch(t, renamePatch), Options{Workers: 64})
+	r := single(parsePatch(t, renamePatch), Options{Workers: 64})
 	st, err := r.Collect(files, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -147,9 +171,9 @@ func TestWorkerCountExceedsFiles(t *testing.T) {
 
 func TestEarlyStop(t *testing.T) {
 	files := corpus(200)
-	r := New(parsePatch(t, renamePatch), Options{Workers: 8})
+	r := single(parsePatch(t, renamePatch), Options{Workers: 8})
 	seen := 0
-	r.Run(files, func(fr FileResult) bool {
+	r.Run(files, func(fr CampaignFileResult) bool {
 		seen++
 		return seen < 5
 	})
@@ -165,9 +189,9 @@ func TestEarlyStop(t *testing.T) {
 
 func TestBoundedWindow(t *testing.T) {
 	files := corpus(100)
-	r := New(parsePatch(t, renamePatch), Options{Workers: 4, Window: 4})
+	r := single(parsePatch(t, renamePatch), Options{Workers: 4, Window: 4})
 	count := 0
-	r.Run(files, func(fr FileResult) bool {
+	r.Run(files, func(fr CampaignFileResult) bool {
 		if fr.Index != count {
 			t.Fatalf("out of order: got %d want %d", fr.Index, count)
 		}
@@ -203,7 +227,7 @@ expression list find.el;
 	// The Go handler replaces the Python body; it must be safe for
 	// concurrent calls from multiple workers.
 	renames := map[string]string{"old_api": "new_api", "other_api": "kept_api"}
-	r := New(patch, Options{Workers: 8})
+	r := single(patch, Options{Workers: 8})
 	r.RegisterScript("up", func(in map[string]string) (map[string]string, error) {
 		nf, ok := renames[in["f"]]
 		if !ok {
@@ -212,7 +236,7 @@ expression list find.el;
 		return map[string]string{"nf": nf}, nil
 	})
 	files := corpus(24)
-	st, err := r.Collect(files, func(fr FileResult) error {
+	st, err := r.Collect(files, func(fr CampaignFileResult) error {
 		if fr.Err != nil {
 			return fr.Err
 		}
@@ -243,8 +267,8 @@ func TestRunPathsLazyReads(t *testing.T) {
 	// A missing file mid-batch must fail alone, like a parse error.
 	paths = append(paths[:6:6], append([]string{filepath.Join(dir, "gone.c")}, paths[6:]...)...)
 
-	r := New(parsePatch(t, renamePatch), Options{Workers: 4})
-	st, err := r.CollectPaths(paths, func(fr FileResult) error {
+	r := single(parsePatch(t, renamePatch), Options{Workers: 4})
+	st, err := r.CollectPaths(paths, func(fr CampaignFileResult) error {
 		if fr.Name == filepath.Join(dir, "gone.c") {
 			if fr.Err == nil {
 				t.Error("missing file should report an error")
@@ -263,12 +287,12 @@ func TestRunPathsLazyReads(t *testing.T) {
 }
 
 func TestUndeclaredDefineReportedOnce(t *testing.T) {
-	r := New(parsePatch(t, renamePatch), Options{
+	r := single(parsePatch(t, renamePatch), Options{
 		Workers: 4,
 		Engine:  core.Options{Defines: []string{"nosuch"}},
 	})
-	var results []FileResult
-	r.Run(corpus(10), func(fr FileResult) bool { results = append(results, fr); return true })
+	var results []CampaignFileResult
+	r.Run(corpus(10), func(fr CampaignFileResult) bool { results = append(results, fr); return true })
 	if len(results) != 1 || results[0].Index != -1 || results[0].Err == nil {
 		t.Fatalf("want one Index=-1 config-error result, got %+v", results)
 	}
@@ -283,9 +307,9 @@ func TestUndeclaredDefineReportedOnce(t *testing.T) {
 
 func TestCollectCallbackError(t *testing.T) {
 	files := corpus(50)
-	r := New(parsePatch(t, renamePatch), Options{Workers: 4})
+	r := single(parsePatch(t, renamePatch), Options{Workers: 4})
 	boom := fmt.Errorf("boom")
-	st, err := r.Collect(files, func(fr FileResult) error {
+	st, err := r.Collect(files, func(fr CampaignFileResult) error {
 		if fr.Index == 3 {
 			return boom
 		}
@@ -357,31 +381,42 @@ func parityCorpus() []core.SourceFile {
 
 // TestPrefilterParity is the prefilter's core guarantee: enabling it changes
 // nothing observable per file — outputs, diffs and match counts are
-// byte-identical — it only avoids work.
+// byte-identical — it only avoids work, and its two forms (per-atom probe,
+// stored word set) skip exactly the same files.
 func TestPrefilterParity(t *testing.T) {
 	files := parityCorpus()
 	for _, pc := range parityPatches {
 		t.Run(pc.name, func(t *testing.T) {
-			collect := func(noPrefilter bool) []FileResult {
-				r := New(parsePatch(t, pc.patch), Options{
-					Workers: 4,
-					Engine:  core.Options{Defines: pc.defines},
-
+			collect := func(noPrefilter bool, store cache.Store) []CampaignFileResult {
+				r := single(parsePatch(t, pc.patch), Options{
+					Workers:     4,
+					Engine:      core.Options{Defines: pc.defines},
 					NoPrefilter: noPrefilter,
+					Store:       store,
 				})
-				var out []FileResult
-				r.Run(files, func(fr FileResult) bool { out = append(out, fr); return true })
+				var out []CampaignFileResult
+				r.Run(files, func(fr CampaignFileResult) bool { out = append(out, fr); return true })
 				return out
 			}
-			off := collect(true)
-			on := collect(false)
+			off := collect(true, nil)
+			// Without a store a lone member probes atoms on the raw text; with
+			// one it shares a scanned word set. Both must skip the same files.
+			on := collect(false, nil)
+			stored := collect(false, cache.NewMemory(nil, 0))
 			if len(on) != len(off) {
 				t.Fatalf("result counts differ: on=%d off=%d", len(on), len(off))
 			}
 			skipped := 0
 			for i := range on {
-				if on[i].Skipped {
+				if only(on[i]).Skipped {
 					skipped++
+				}
+				if only(on[i]).Skipped != only(stored[i]).Skipped {
+					t.Errorf("%s: Skipped differs between the atom probe (%v) and the stored word set (%v)",
+						on[i].Name, only(on[i]).Skipped, only(stored[i]).Skipped)
+				}
+				if stored[i].Output != off[i].Output || stored[i].Diff != off[i].Diff {
+					t.Errorf("%s: store-backed output differs with prefilter on", on[i].Name)
 				}
 				if on[i].Output != off[i].Output {
 					t.Errorf("%s: output differs with prefilter on", on[i].Name)
@@ -389,15 +424,15 @@ func TestPrefilterParity(t *testing.T) {
 				if on[i].Diff != off[i].Diff {
 					t.Errorf("%s: diff differs with prefilter on", on[i].Name)
 				}
-				if on[i].Matches() != off[i].Matches() {
+				if only(on[i]).Matches() != only(off[i]).Matches() {
 					t.Errorf("%s: match count differs: on=%d off=%d",
-						on[i].Name, on[i].Matches(), off[i].Matches())
+						on[i].Name, only(on[i]).Matches(), only(off[i]).Matches())
 				}
 				if (on[i].Err == nil) != (off[i].Err == nil) {
 					t.Errorf("%s: error presence differs: on=%v off=%v",
 						on[i].Name, on[i].Err, off[i].Err)
 				}
-				if off[i].Skipped {
+				if only(off[i]).Skipped {
 					t.Errorf("%s: NoPrefilter run must never skip", off[i].Name)
 				}
 			}
@@ -412,9 +447,9 @@ func TestPrefilterParity(t *testing.T) {
 // in Files and Skipped, never in Matched/Changed/Errors.
 func TestPrefilterSkippedStats(t *testing.T) {
 	files := parityCorpus() // 12 corpus files (4 matching) + 3 unmatchable
-	r := New(parsePatch(t, renamePatch), Options{Workers: 2})
-	st, err := r.Collect(files, func(fr FileResult) error {
-		if fr.Skipped && (fr.Diff != "" || fr.Err != nil || fr.Matches() != 0) {
+	r := single(parsePatch(t, renamePatch), Options{Workers: 2})
+	st, err := r.Collect(files, func(fr CampaignFileResult) error {
+		if only(fr).Skipped && (fr.Diff != "" || fr.Err != nil || only(fr).Matches() != 0) {
 			t.Errorf("%s: skipped result must be inert: %+v", fr.Name, fr)
 		}
 		return nil
@@ -425,14 +460,14 @@ func TestPrefilterSkippedStats(t *testing.T) {
 	if st.Files != 15 || st.Errors != 0 {
 		t.Errorf("stats = %+v, want 15 files, 0 errors", st)
 	}
-	if st.Matched != 4 || st.Changed != 4 {
+	if st.PerPatch[0].Matched != 4 || st.Changed != 4 {
 		t.Errorf("stats = %+v, want 4 matched/changed", st)
 	}
 	// 8 corpus files call other_api, plus near.c and empty.c. comment.c
 	// mentions old_api in a comment, which conservatively counts as
 	// present, so it is parsed (and found unmatched) rather than skipped.
-	if st.Skipped != 10 {
-		t.Errorf("Skipped = %d, want 10", st.Skipped)
+	if st.PerPatch[0].Skipped != 10 {
+		t.Errorf("Skipped = %d, want 10", st.PerPatch[0].Skipped)
 	}
 }
 
@@ -441,21 +476,21 @@ func TestPrefilterSkippedStats(t *testing.T) {
 // unreported unless the prefilter is disabled.
 func TestPrefilterSkipsUnparseable(t *testing.T) {
 	files := []core.SourceFile{{Name: "broken.c", Src: "void f( {{{"}}
-	r := New(parsePatch(t, renamePatch), Options{Workers: 1})
+	r := single(parsePatch(t, renamePatch), Options{Workers: 1})
 	st, err := r.Collect(files, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Errors != 0 || st.Skipped != 1 {
+	if st.Errors != 0 || st.PerPatch[0].Skipped != 1 {
 		t.Errorf("stats = %+v, want the broken file skipped, not errored", st)
 	}
 
-	r = New(parsePatch(t, renamePatch), Options{Workers: 1, NoPrefilter: true})
+	r = single(parsePatch(t, renamePatch), Options{Workers: 1, NoPrefilter: true})
 	st, err = r.Collect(files, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Errors != 1 || st.Skipped != 0 {
+	if st.Errors != 1 || st.PerPatch[0].Skipped != 0 {
 		t.Errorf("stats = %+v, want a parse error with the prefilter off", st)
 	}
 }

@@ -9,14 +9,16 @@
 //
 // Semantics are sequential composition per file: patch i+1 sees the file as
 // patch i left it, exactly as if the patches had been applied by separate
-// runs in order. Files remain independent of each other, so the worker
-// pool, ordering, and memory bounds are those of the single-patch Runner.
+// runs in order. Files remain independent of each other. A one-member
+// campaign is the single-patch run (sempatch.BatchApplier is a view over
+// one).
 
 package batch
 
 import (
 	"fmt"
 	"os"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -53,17 +55,26 @@ type Campaign struct {
 	patches []*campaignPatch
 	opts    Options
 	scripts map[string]core.ScriptFunc
-	// scriptVers mirrors Runner.scriptVers: declared versions of handlers
-	// registered through RegisterScriptVersioned, keyed into every member's
-	// result-cache key.
+	// scriptVers holds the declared version of each handler registered
+	// through RegisterScriptVersioned, keyed into every member's result-cache
+	// key. Handlers registered without a version never appear here, which is
+	// what disables the result cache (see resultCacheable).
 	scriptVers map[string]string
 	keyOnce    sync.Once
 	// store is the cache the run reads and writes through (nil when caching
 	// is disabled); disk is the *cache.Cache opened from Options.CacheDir,
 	// kept separately for status reporting (nil when the store was supplied
 	// by the caller via Options.Store).
-	store  cache.Store
-	disk   *cache.Cache
+	store cache.Store
+	disk  *cache.Cache
+	// probeAtoms selects the prefilter form. A file's word set pays for
+	// itself only when something shares it — the store, or later members —
+	// so a lone member without a store probes its required atoms on the raw
+	// text instead (index.Filter.MayMatch), which is far cheaper than one
+	// full word scan.
+	probeAtoms bool
+	// cfgErr is a patch/options mismatch caught at construction; it is
+	// reported once per run instead of once per file.
 	cfgErr error
 }
 
@@ -78,17 +89,8 @@ func NewCampaign(patches []*smpl.Patch, opts Options) *Campaign {
 		c.cfgErr = fmt.Errorf("campaign: no patches given")
 		return c
 	}
-	declared := map[string]bool{}
-	for _, p := range patches {
-		for _, v := range p.Virtuals {
-			declared[v] = true
-		}
-	}
-	for _, d := range opts.Engine.Defines {
-		if !declared[d] {
-			c.cfgErr = fmt.Errorf("define %q is not declared virtual in any patch of the campaign", d)
-			return c
-		}
+	if c.cfgErr = core.ValidateDefines(opts.Engine.Defines, patches...); c.cfgErr != nil {
+		return c
 	}
 	switch {
 	case opts.Store != nil:
@@ -112,6 +114,7 @@ func NewCampaign(patches []*smpl.Patch, opts Options) *Campaign {
 		}
 		c.patches = append(c.patches, cp)
 	}
+	c.probeAtoms = c.store == nil && len(c.patches) == 1
 	return c
 }
 
@@ -135,24 +138,34 @@ func intersectDefines(defines, virtuals []string) []string {
 func (c *Campaign) Cache() *cache.Cache { return c.disk }
 
 // RegisterScript installs a native Go handler for the named script rule on
-// every worker engine of every member patch whose rules include it. Like
-// Runner.RegisterScript, registering any handler disables the persistent
-// result cache (the handler's behaviour is not part of the patch hash).
+// every worker engine of every member patch whose rules include it. Must be
+// called before Run; the handler may be called from multiple goroutines and
+// must be safe for that.
+//
+// Registering any Go handler disables the persistent result cache: a native
+// function's behaviour is not captured by the patch text the cache keys on,
+// so replaying results across handler versions would be unsound. (Script
+// rules written in the patch itself cache fine — their code is part of the
+// patch hash.) The scan cache stays active.
 func (c *Campaign) RegisterScript(rule string, fn core.ScriptFunc) *Campaign {
 	c.scripts[rule] = fn
 	return c
 }
 
 // RegisterScriptVersioned is RegisterScript for handlers that declare a
-// version covering everything their behaviour depends on; the version joins
-// every member's result-cache key, keeping the result cache enabled (see
-// Runner.RegisterScriptVersioned).
+// version string covering everything their behaviour depends on (code
+// revision, embedded tables, modes). The version joins every member's
+// result-cache key, so the persistent result cache stays enabled: bumping
+// the version invalidates every cached outcome the handler helped produce.
 func (c *Campaign) RegisterScriptVersioned(rule, version string, fn core.ScriptFunc) *Campaign {
 	c.scripts[rule] = fn
 	c.scriptVers[rule] = version
 	return c
 }
 
+// resultCacheable reports whether outcomes may be persisted and replayed: a
+// store must be open and every registered Go handler must have declared a
+// version.
 func (c *Campaign) resultCacheable() bool {
 	return c.store != nil && len(c.scripts) == len(c.scriptVers)
 }
@@ -288,21 +301,21 @@ type CampaignStats struct {
 	PerPatch []PatchStats
 }
 
-// workers mirrors Runner.workers.
-func (c *Campaign) workers(n int) int {
-	r := Runner{opts: c.opts}
-	return r.workers(n)
-}
-
 // Run streams per-file campaign results to yield in input order, stopping
-// early if yield returns false; see Runner.Run for the pool contract.
+// early if yield returns false. It blocks until delivery finishes and all
+// workers have exited; memory use is bounded by the window size, not the
+// corpus. The Campaign may be used for any number of runs, concurrently if
+// desired.
 func (c *Campaign) Run(files []core.SourceFile, yield func(CampaignFileResult) bool) {
 	c.run(len(files), c.opts.Tracer, func(i int) *FileState {
 		return &FileState{Name: files[i].Name, Src: files[i].Src, Loaded: true}
 	}, yield)
 }
 
-// RunPaths is Run over on-disk files, read lazily inside the pool.
+// RunPaths is Run over on-disk files: each worker reads its file just
+// before patching it, so only the in-flight window of the corpus is ever
+// resident. A file that cannot be read reports the error in its result like
+// any other per-file failure.
 func (c *Campaign) RunPaths(paths []string, yield func(CampaignFileResult) bool) {
 	c.run(len(paths), c.opts.Tracer, func(i int) *FileState {
 		path := paths[i]
@@ -326,7 +339,11 @@ func (c *Campaign) run(n int, tr *obs.Tracer, get func(int) *FileState, yield fu
 		return
 	}
 	c.keys()
-	workers := c.workers(n)
+	workers := c.opts.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = min(workers, n)
 	window := c.opts.Window
 	if window <= 0 {
 		window = 2 * workers

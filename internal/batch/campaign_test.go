@@ -31,30 +31,25 @@ func campaignCorpus(n int) []core.SourceFile {
 	return corpus(n)
 }
 
-// sequentialReference applies the patches one Runner at a time, feeding
-// each patch the previous one's outputs — the semantics a campaign must
-// reproduce exactly.
+// sequentialReference applies the patches one at a time with a fresh
+// core.Engine per file, feeding each patch the previous one's outputs — the
+// semantics a campaign must reproduce exactly, derived without the code
+// under test.
 func sequentialReference(t *testing.T, patchTexts []string, files []core.SourceFile) []string {
 	t.Helper()
-	cur := make([]core.SourceFile, len(files))
-	copy(cur, files)
-	for _, pt := range patchTexts {
-		r := New(parsePatch(t, pt), Options{Workers: 1})
-		next := make([]core.SourceFile, len(cur))
-		i := 0
-		r.Run(cur, func(fr FileResult) bool {
-			if fr.Err != nil {
-				t.Fatalf("%s: %v", fr.Name, fr.Err)
-			}
-			next[i] = core.SourceFile{Name: fr.Name, Src: fr.Output}
-			i++
-			return true
-		})
-		cur = next
-	}
-	out := make([]string, len(cur))
-	for i, f := range cur {
+	out := make([]string, len(files))
+	for i, f := range files {
 		out[i] = f.Src
+	}
+	for _, pt := range patchTexts {
+		patch := parsePatch(t, pt)
+		for i, f := range files {
+			res, err := core.New(patch, core.Options{}).Run([]core.SourceFile{{Name: f.Name, Src: out[i]}})
+			if err != nil {
+				t.Fatalf("%s: %v", f.Name, err)
+			}
+			out[i] = res.Outputs[f.Name]
+		}
 	}
 	return out
 }
@@ -220,79 +215,28 @@ func TestCampaignEmptyPatchList(t *testing.T) {
 	}
 }
 
-// Cold, warm, and disabled cache must produce byte-identical results for
-// both the single-patch Runner and the Campaign; the warm run must be
-// served from the cache.
-func TestRunnerCacheParity(t *testing.T) {
-	files := campaignCorpus(20)
-	dir := filepath.Join(t.TempDir(), "cache")
-	patch := parsePatch(t, renamePatch)
-
-	collect := func(opts Options) ([]FileResult, Stats) {
-		var out []FileResult
-		st, err := New(patch, opts).Collect(files, func(fr FileResult) error {
-			out = append(out, fr)
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out, st
-	}
-
-	plain, _ := collect(Options{Workers: 2})
-	cold, coldSt := collect(Options{Workers: 2, CacheDir: dir})
-	warm, warmSt := collect(Options{Workers: 2, CacheDir: dir})
-
-	if coldSt.Cached != 0 {
-		t.Errorf("cold run reported %d cached files", coldSt.Cached)
-	}
-	if warmSt.Cached != len(files) {
-		t.Errorf("warm run cached %d of %d files", warmSt.Cached, len(files))
-	}
-	if warmSt.Skipped != 0 {
-		t.Errorf("warm run reported %d skipped (cache hits must report cached, not skipped)", warmSt.Skipped)
-	}
-	for i := range files {
-		for _, mode := range []struct {
-			name string
-			got  FileResult
-		}{{"cold", cold[i]}, {"warm", warm[i]}} {
-			if mode.got.Output != plain[i].Output || mode.got.Diff != plain[i].Diff {
-				t.Errorf("%s %s: output differs from uncached run", mode.name, files[i].Name)
-			}
-			if fmt.Sprint(mode.got.MatchCount) != fmt.Sprint(plain[i].MatchCount) {
-				t.Errorf("%s %s: match counts differ", mode.name, files[i].Name)
-			}
-		}
-		if !warm[i].Cached {
-			t.Errorf("warm %s: not served from cache", files[i].Name)
-		}
-	}
-}
-
 // Editing a file invalidates exactly its own cached results.
 func TestCacheInvalidationByContent(t *testing.T) {
 	files := campaignCorpus(6)
 	dir := filepath.Join(t.TempDir(), "cache")
 	patch := parsePatch(t, renamePatch)
 
-	if _, err := New(patch, Options{CacheDir: dir}).Collect(files, nil); err != nil {
+	if _, err := single(patch, Options{CacheDir: dir}).Collect(files, nil); err != nil {
 		t.Fatal(err)
 	}
 	files[0].Src = "void edited(int x)\n{\n\told_api(x, 99);\n}\n"
-	var results []FileResult
-	st, err := New(patch, Options{CacheDir: dir}).Collect(files, func(fr FileResult) error {
+	var results []CampaignFileResult
+	st, err := single(patch, Options{CacheDir: dir}).Collect(files, func(fr CampaignFileResult) error {
 		results = append(results, fr)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Cached != len(files)-1 {
-		t.Errorf("cached = %d, want %d (only the edited file re-runs)", st.Cached, len(files)-1)
+	if n := st.PerPatch[0].Cached; n != len(files)-1 {
+		t.Errorf("cached = %d, want %d (only the edited file re-runs)", n, len(files)-1)
 	}
-	if results[0].Cached {
+	if only(results[0]).Cached {
 		t.Error("edited file served from cache")
 	}
 	if !strings.Contains(results[0].Output, "new_api(x, 99)") {
@@ -305,53 +249,86 @@ func TestCacheInvalidationByPatch(t *testing.T) {
 	files := campaignCorpus(6)
 	dir := filepath.Join(t.TempDir(), "cache")
 
-	if _, err := New(parsePatch(t, renamePatch), Options{CacheDir: dir}).Collect(files, nil); err != nil {
+	if _, err := single(parsePatch(t, renamePatch), Options{CacheDir: dir}).Collect(files, nil); err != nil {
 		t.Fatal(err)
 	}
 	other := strings.Replace(renamePatch, "new_api", "brand_new_api", 1)
-	st, err := New(parsePatch(t, other), Options{CacheDir: dir}).Collect(files, nil)
+	st, err := single(parsePatch(t, other), Options{CacheDir: dir}).Collect(files, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Cached != 0 {
-		t.Errorf("edited patch replayed %d stale results", st.Cached)
+	if n := st.PerPatch[0].Cached; n != 0 {
+		t.Errorf("edited patch replayed %d stale results", n)
 	}
+}
+
+// Cold, warm, and disabled cache must produce byte-identical results for a
+// single-patch campaign; the warm run must be served from the cache.
+func TestRunnerCacheParity(t *testing.T) {
+	checkCacheParity(t, []string{renamePatch}, campaignCorpus(20))
 }
 
 // Campaign warm runs replay every member outcome from the cache, and a
 // member's cached output still feeds the next member.
 func TestCampaignCacheWarm(t *testing.T) {
-	files := campaignCorpus(12)
-	dir := filepath.Join(t.TempDir(), "cache")
-	texts := []string{renamePatch, secondPatch}
-	want := sequentialReference(t, texts, files)
+	checkCacheParity(t, []string{renamePatch, secondPatch}, campaignCorpus(12))
+}
 
-	opts := Options{Workers: 2, CacheDir: dir}
-	if _, err := NewCampaign(parseAll(t, texts), opts).Collect(files, nil); err != nil {
-		t.Fatal(err)
-	}
-	i := 0
-	st, err := NewCampaign(parseAll(t, texts), opts).Collect(files, func(fr CampaignFileResult) error {
-		if fr.Output != want[i] {
-			t.Errorf("%s: warm campaign output differs", fr.Name)
+// checkCacheParity runs the campaign of texts over files uncached, cold and
+// warm: outputs, diffs and match counts must agree, the result must equal
+// running the members one after another, and the warm run must be served
+// entirely from the cache (hits report cached, never skipped).
+func checkCacheParity(t *testing.T, texts []string, files []core.SourceFile) {
+	t.Helper()
+	dir := filepath.Join(t.TempDir(), "cache")
+	want := sequentialReference(t, texts, files)
+	collect := func(opts Options) ([]CampaignFileResult, CampaignStats) {
+		var out []CampaignFileResult
+		st, err := NewCampaign(parseAll(t, texts), opts).Collect(files, func(fr CampaignFileResult) error {
+			out = append(out, fr)
+			return fr.Err
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, o := range fr.Patches {
+		return out, st
+	}
+	plain, _ := collect(Options{Workers: 2})
+	cold, coldSt := collect(Options{Workers: 2, CacheDir: dir})
+	warm, warmSt := collect(Options{Workers: 2, CacheDir: dir})
+
+	for i := range files {
+		if warm[i].Output != want[i] {
+			t.Errorf("%d members, %s: warm campaign output differs from sequential runs", len(texts), files[i].Name)
+		}
+		for _, run := range []struct {
+			name string
+			got  CampaignFileResult
+		}{{"cold", cold[i]}, {"warm", warm[i]}} {
+			if run.got.Output != plain[i].Output || run.got.Diff != plain[i].Diff {
+				t.Errorf("%s %s: output differs from uncached run", run.name, files[i].Name)
+			}
+			for pi, o := range run.got.Patches {
+				if fmt.Sprint(o.MatchCount) != fmt.Sprint(plain[i].Patches[pi].MatchCount) {
+					t.Errorf("%s %s: patch %s match counts differ", run.name, files[i].Name, o.Patch)
+				}
+			}
+		}
+		for _, o := range warm[i].Patches {
 			if !o.Cached {
-				t.Errorf("%s: patch %s not cached on warm run", fr.Name, o.Patch)
+				t.Errorf("%s: patch %s not cached on warm run", files[i].Name, o.Patch)
 			}
 			if o.MatchCount == nil {
-				t.Errorf("%s: patch %s replayed a nil MatchCount (cold runs always produce a map)", fr.Name, o.Patch)
+				t.Errorf("%s: patch %s replayed a nil MatchCount (cold runs always produce a map)", files[i].Name, o.Patch)
 			}
 		}
-		i++
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	for pi, ps := range st.PerPatch {
-		if ps.Cached != len(files) {
-			t.Errorf("patch %d: %d of %d cached", pi, ps.Cached, len(files))
+	for pi := range texts {
+		if n := coldSt.PerPatch[pi].Cached; n != 0 {
+			t.Errorf("patch %d: cold run reported %d cached files", pi, n)
+		}
+		if ps := warmSt.PerPatch[pi]; ps.Cached != len(files) || ps.Skipped != 0 {
+			t.Errorf("patch %d: warm run cached %d and skipped %d of %d files, want all cached", pi, ps.Cached, ps.Skipped, len(files))
 		}
 	}
 }
@@ -362,7 +339,7 @@ func TestCacheCorruptionHeals(t *testing.T) {
 	files := campaignCorpus(4)
 	dir := filepath.Join(t.TempDir(), "cache")
 	patch := parsePatch(t, renamePatch)
-	if _, err := New(patch, Options{CacheDir: dir}).Collect(files, nil); err != nil {
+	if _, err := single(patch, Options{CacheDir: dir}).Collect(files, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Smash every result entry.
@@ -375,16 +352,16 @@ func TestCacheCorruptionHeals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := New(patch, Options{CacheDir: dir})
+	r := single(patch, Options{CacheDir: dir})
 	var outs []string
-	st, err := r.Collect(files, func(fr FileResult) error {
+	st, err := r.Collect(files, func(fr CampaignFileResult) error {
 		outs = append(outs, fr.Output)
 		return fr.Err
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Cached != 0 {
+	if st.PerPatch[0].Cached != 0 {
 		t.Errorf("corrupt entries replayed: %+v", st)
 	}
 	if n := r.Cache().CorruptEntries(); n == 0 {
@@ -394,11 +371,11 @@ func TestCacheCorruptionHeals(t *testing.T) {
 		t.Errorf("output wrong after corruption:\n%s", outs[0])
 	}
 	// Third run: healed, fully cached.
-	st, err = New(patch, Options{CacheDir: dir}).Collect(files, nil)
+	st, err = single(patch, Options{CacheDir: dir}).Collect(files, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Cached != len(files) {
+	if st.PerPatch[0].Cached != len(files) {
 		t.Errorf("cache did not heal: %+v", st)
 	}
 }
@@ -428,19 +405,19 @@ identifier s.g;
 		{Name: "a.c", Src: "void a(void)\n{\n\told_api(dev);\n}\n"},
 	}
 	dir := filepath.Join(t.TempDir(), "cache")
-	mk := func() *Runner {
-		r := New(parsePatch(t, scriptPatch), Options{CacheDir: dir})
+	mk := func() *Campaign {
+		r := single(parsePatch(t, scriptPatch), Options{CacheDir: dir})
 		r.RegisterScript("s", func(in map[string]string) (map[string]string, error) {
 			return map[string]string{"g": in["f"] + "_native"}, nil
 		})
 		return r
 	}
 	for run := 0; run < 2; run++ {
-		st, err := mk().Collect(files, func(fr FileResult) error { return fr.Err })
+		st, err := mk().Collect(files, func(fr CampaignFileResult) error { return fr.Err })
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.Cached != 0 {
+		if st.PerPatch[0].Cached != 0 {
 			t.Errorf("run %d: results cached despite Go script handler", run)
 		}
 		if st.Changed != 1 {

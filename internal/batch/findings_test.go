@@ -43,22 +43,22 @@ func TestFindingsFileCacheReplay(t *testing.T) {
 		fnBuildFile("b.c", []string{"\twork(x, 2);\n"}),
 	}
 	patch := parseCheckPatch(t)
-	r := New(patch, Options{CacheDir: t.TempDir(), NoFuncCache: true})
+	r := single(patch, Options{CacheDir: t.TempDir(), NoFuncCache: true})
 	cold := runAll(t, r, files)
-	if len(cold[0].Findings) != 1 || cold[0].Findings[0].Check != "sync-call" {
-		t.Fatalf("cold findings = %+v", cold[0].Findings)
+	if len(only(cold[0]).Findings) != 1 || only(cold[0]).Findings[0].Check != "sync-call" {
+		t.Fatalf("cold findings = %+v", only(cold[0]).Findings)
 	}
 	if cold[0].Output != files[0].Src {
 		t.Fatal("check patch rewrote its input")
 	}
 	warm := runAll(t, r, files)
 	for i := range warm {
-		if !warm[i].Cached {
+		if !only(warm[i]).Cached {
 			t.Fatalf("%s not replayed from the cache", warm[i].Name)
 		}
-		if !reflect.DeepEqual(warm[i].Findings, cold[i].Findings) {
+		if !reflect.DeepEqual(only(warm[i]).Findings, only(cold[i]).Findings) {
 			t.Fatalf("%s: replayed findings differ\ncold: %+v\nwarm: %+v",
-				warm[i].Name, cold[i].Findings, warm[i].Findings)
+				warm[i].Name, only(cold[i]).Findings, only(warm[i]).Findings)
 		}
 	}
 }
@@ -71,8 +71,8 @@ func TestFindingsFunctionCacheReanchor(t *testing.T) {
 	bodies := []string{"\twork(x, 0);\n", "\tsync_api(x);\n", "\tsync_api(y);\n"}
 	file := fnBuildFile("m.c", bodies)
 	patch := parseCheckPatch(t)
-	r := New(patch, Options{CacheDir: t.TempDir()})
-	cold := runAll(t, r, []core.SourceFile{file})[0]
+	r := single(patch, Options{CacheDir: t.TempDir()})
+	cold := only(runAll(t, r, []core.SourceFile{file})[0])
 	if len(cold.Findings) != 2 {
 		t.Fatalf("cold findings = %+v", cold.Findings)
 	}
@@ -85,12 +85,12 @@ func TestFindingsFunctionCacheReanchor(t *testing.T) {
 	if editedFile.Src == file.Src {
 		t.Fatal("edit did not change the file")
 	}
-	warm := runAll(t, r, []core.SourceFile{editedFile})[0]
+	warm := only(runAll(t, r, []core.SourceFile{editedFile})[0])
 	if warm.FuncsCached < 2 {
 		t.Fatalf("FuncsCached = %d, want >= 2 (unchanged functions replayed)", warm.FuncsCached)
 	}
 
-	fresh := runAll(t, New(patch, Options{}), []core.SourceFile{editedFile})[0]
+	fresh := only(runAll(t, single(patch, Options{}), []core.SourceFile{editedFile})[0])
 	got := append([]analysis.Finding(nil), warm.Findings...)
 	want := append([]analysis.Finding(nil), fresh.Findings...)
 	analysis.Sort(got)
@@ -115,31 +115,24 @@ func TestFindingsFunctionCacheReanchor(t *testing.T) {
 	}
 }
 
-// TestFindingsStats pins the aggregate counters on Runner and Campaign runs.
+// TestFindingsStats pins the aggregate counters and the per-file gathering of
+// findings.
 func TestFindingsStats(t *testing.T) {
 	files := []core.SourceFile{
 		fnBuildFile("a.c", []string{"\tsync_api(x);\n", "\tsync_api(y);\n"}),
 		fnBuildFile("b.c", []string{"\twork(x, 1);\n"}),
 	}
-	patch := parseCheckPatch(t)
-	st, err := New(patch, Options{}).Collect(files, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Findings != 2 || st.Changed != 0 {
-		t.Fatalf("runner stats = %+v, want 2 findings, 0 changed", st)
-	}
-	cst, err := NewCampaign([]*smpl.Patch{patch}, Options{}).Collect(files, func(fr CampaignFileResult) error {
+	st, err := single(parseCheckPatch(t), Options{}).Collect(files, func(fr CampaignFileResult) error {
 		if fr.Name == "a.c" && len(fr.Findings()) != 2 {
-			t.Errorf("a.c campaign findings = %+v", fr.Findings())
+			t.Errorf("a.c findings = %+v", fr.Findings())
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cst.PerPatch[0].Findings != 2 {
-		t.Fatalf("campaign per-patch stats = %+v", cst.PerPatch[0])
+	if st.PerPatch[0].Findings != 2 || st.Changed != 0 {
+		t.Fatalf("stats = %+v, want 2 findings, 0 changed", st)
 	}
 }
 

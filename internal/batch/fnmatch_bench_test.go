@@ -1,8 +1,7 @@
 // Benchmarks for function-granular incrementality. These run against an
 // in-memory store — the configuration a resident session (internal/serve)
 // actually uses for warm applies — so they measure matching, not disk
-// round-trips. scripts/bench_incremental.sh renders them into
-// BENCH_incremental.json.
+// round-trips.
 
 package batch
 
@@ -59,8 +58,7 @@ func benchKernel(nFns, stmts, edit int) string {
 // ten functions: the file-granular baseline misses the file-level result
 // cache (the content changed) and re-matches all ten functions; the
 // function-granular path replays nine segments and re-matches exactly one.
-// The ratio is the per-edit win a resident session sees (acceptance floor
-// in BENCH_incremental.json: 3x).
+// The ratio is the per-edit win a resident session sees.
 func BenchmarkWarmOneFunctionEdit(b *testing.B) {
 	patch := parseBenchPatch(b, benchDotsPatch)
 	for _, mode := range []struct {
@@ -76,7 +74,7 @@ func BenchmarkWarmOneFunctionEdit(b *testing.B) {
 			// later iterations.
 			opts := mode.opts
 			opts.Store = cache.NewMemory(nil, 512)
-			r := New(patch, opts)
+			r := single(patch, opts)
 			prime := []core.SourceFile{{Name: "k.c", Src: benchKernel(10, 16, -1)}}
 			runBench(b, r, prime, -1, -1)
 			b.SetBytes(int64(len(prime[0].Src)))
@@ -107,7 +105,7 @@ func BenchmarkParallelFunctionMatch(b *testing.B) {
 		{"sequential-file", Options{Workers: 1, NoFuncCache: true}},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
-			r := New(patch, mode.opts)
+			r := single(patch, mode.opts)
 			b.SetBytes(int64(len(files[0].Src)))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -129,17 +127,18 @@ func parseBenchPatch(b *testing.B, text string) *smpl.Patch {
 // runBench runs one sweep and asserts it did real work (never a file-level
 // cache replay) and, when wantMatched >= 0, that the function counters are
 // exactly the incremental contract.
-func runBench(b *testing.B, r *Runner, files []core.SourceFile, wantMatched, wantCached int) {
+func runBench(b *testing.B, r *Campaign, files []core.SourceFile, wantMatched, wantCached int) {
 	b.Helper()
-	r.Run(files, func(fr FileResult) bool {
+	r.Run(files, func(fr CampaignFileResult) bool {
 		if fr.Err != nil {
 			b.Fatal(fr.Err)
 		}
-		if fr.Cached || !fr.Changed() {
+		o := only(fr)
+		if o.Cached || !fr.Changed() {
 			b.Fatalf("benchmark iteration replayed at file level: %+v", fr)
 		}
-		if wantMatched >= 0 && (fr.FuncsMatched != wantMatched || fr.FuncsCached != wantCached) {
-			b.Fatalf("matched=%d cached=%d, want %d/%d", fr.FuncsMatched, fr.FuncsCached, wantMatched, wantCached)
+		if wantMatched >= 0 && (o.FuncsMatched != wantMatched || o.FuncsCached != wantCached) {
+			b.Fatalf("matched=%d cached=%d, want %d/%d", o.FuncsMatched, o.FuncsCached, wantMatched, wantCached)
 		}
 		return true
 	})

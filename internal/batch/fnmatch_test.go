@@ -44,11 +44,11 @@ func fnBuildFile(name string, bodies []string) core.SourceFile {
 	return core.SourceFile{Name: name, Src: sb.String()}
 }
 
-// runAll collects every FileResult of one run.
-func runAll(t *testing.T, r *Runner, files []core.SourceFile) []FileResult {
+// runAll collects every file result of one run.
+func runAll(t *testing.T, r *Campaign, files []core.SourceFile) []CampaignFileResult {
 	t.Helper()
-	var out []FileResult
-	r.Run(files, func(fr FileResult) bool { out = append(out, fr); return true })
+	var out []CampaignFileResult
+	r.Run(files, func(fr CampaignFileResult) bool { out = append(out, fr); return true })
 	if len(out) != len(files) {
 		t.Fatalf("got %d results for %d files", len(out), len(files))
 	}
@@ -56,7 +56,7 @@ func runAll(t *testing.T, r *Runner, files []core.SourceFile) []FileResult {
 }
 
 // compareResults asserts two runs are observably identical per file.
-func compareResults(t *testing.T, label string, got, want []FileResult) {
+func compareResults(t *testing.T, label string, got, want []CampaignFileResult) {
 	t.Helper()
 	for i := range want {
 		g, w := got[i], want[i]
@@ -73,8 +73,8 @@ func compareResults(t *testing.T, label string, got, want []FileResult) {
 		if g.Diff != w.Diff {
 			t.Errorf("%s: %s: diff differs", label, g.Name)
 		}
-		if g.Matches() != w.Matches() {
-			t.Errorf("%s: %s: matches = %d, want %d", label, g.Name, g.Matches(), w.Matches())
+		if only(g).Matches() != only(w).Matches() {
+			t.Errorf("%s: %s: matches = %d, want %d", label, g.Name, only(g).Matches(), only(w).Matches())
 		}
 	}
 }
@@ -132,32 +132,32 @@ func TestFunctionCacheParity(t *testing.T) {
 			corpusA, corpusB := build(0), build(999) // B edits one function of f0.c
 
 			patch := parsePatch(t, tc.patch)
-			base := func(files []core.SourceFile) []FileResult {
-				return runAll(t, New(patch, Options{Workers: 4, Engine: tc.eopts, NoFuncCache: true}), files)
+			base := func(files []core.SourceFile) []CampaignFileResult {
+				return runAll(t, single(patch, Options{Workers: 4, Engine: tc.eopts, NoFuncCache: true}), files)
 			}
 			baseA, baseB := base(corpusA), base(corpusB)
 
 			// Function path without any cache store: parallel per-segment
 			// matching alone must already be byte-identical.
-			plain := runAll(t, New(patch, Options{Workers: 4, Engine: tc.eopts}), corpusA)
+			plain := runAll(t, single(patch, Options{Workers: 4, Engine: tc.eopts}), corpusA)
 			compareResults(t, "no-store", plain, baseA)
 
 			// Cold then warm through a shared store; the warm corpus has one
 			// edited function, so the file-level record cannot shortcut it.
 			store := cache.NewMemory(nil, 0)
-			r := New(patch, Options{Workers: 4, Engine: tc.eopts, Store: store})
+			r := single(patch, Options{Workers: 4, Engine: tc.eopts, Store: store})
 			cold := runAll(t, r, corpusA)
 			compareResults(t, "cold", cold, baseA)
 			warm := runAll(t, r, corpusB)
 			compareResults(t, "warm", warm, baseB)
 
 			if eligible := newFnRunner(core.Compile(patch), tc.eopts, nil) != nil; eligible {
-				if warm[0].FuncsCached != 4 || warm[0].FuncsMatched != 1 {
+				if only(warm[0]).FuncsCached != 4 || only(warm[0]).FuncsMatched != 1 {
 					t.Errorf("warm f0.c: matched=%d cached=%d, want 1/4",
-						warm[0].FuncsMatched, warm[0].FuncsCached)
+						only(warm[0]).FuncsMatched, only(warm[0]).FuncsCached)
 				}
-			} else if warm[0].FuncsCached != 0 || warm[0].FuncsMatched != 0 {
-				t.Errorf("ineligible patch must not report function counters: %+v", warm[0])
+			} else if only(warm[0]).FuncsCached != 0 || only(warm[0]).FuncsMatched != 0 {
+				t.Errorf("ineligible patch must not report function counters: %+v", only(warm[0]))
 			}
 		})
 	}
@@ -183,13 +183,13 @@ func TestFunctionCacheFuzzOneEdit(t *testing.T) {
 	}
 
 	patch := parsePatch(t, renamePatch)
-	warm := New(patch, Options{Workers: 4, Store: cache.NewMemory(nil, 0)})
-	scratch := New(patch, Options{Workers: 1, NoFuncCache: true})
+	warm := single(patch, Options{Workers: 4, Store: cache.NewMemory(nil, 0)})
+	scratch := single(patch, Options{Workers: 1, NoFuncCache: true})
 
 	cold := runAll(t, warm, build())
 	compareResults(t, "cold", cold, runAll(t, scratch, build()))
-	if cold[0].FuncsMatched != k || cold[0].FuncsCached != 0 {
-		t.Fatalf("cold run: matched=%d cached=%d, want %d/0", cold[0].FuncsMatched, cold[0].FuncsCached, k)
+	if only(cold[0]).FuncsMatched != k || only(cold[0]).FuncsCached != 0 {
+		t.Fatalf("cold run: matched=%d cached=%d, want %d/0", only(cold[0]).FuncsMatched, only(cold[0]).FuncsCached, k)
 	}
 
 	for iter := 0; iter < 25; iter++ {
@@ -199,9 +199,9 @@ func TestFunctionCacheFuzzOneEdit(t *testing.T) {
 		got := runAll(t, warm, files)
 		want := runAll(t, scratch, files)
 		compareResults(t, fmt.Sprintf("iter %d", iter), got, want)
-		if got[0].FuncsMatched != 1 || got[0].FuncsCached != k-1 {
+		if only(got[0]).FuncsMatched != 1 || only(got[0]).FuncsCached != k-1 {
 			t.Fatalf("iter %d: matched=%d cached=%d, want 1/%d",
-				iter, got[0].FuncsMatched, got[0].FuncsCached, k-1)
+				iter, only(got[0]).FuncsMatched, only(got[0]).FuncsCached, k-1)
 		}
 		if dm, dr := FuncMatches()-m0, FuncReplays()-r0; dm != 1 || dr != k-1 {
 			t.Fatalf("iter %d: instrumentation delta matched=%d replayed=%d, want 1/%d", iter, dm, dr, k-1)
@@ -225,21 +225,21 @@ func TestFunctionCacheInvalidation(t *testing.T) {
 	f0, f1, f2, f3 := fnText("step_0", 0), fnText("step_1", 1), fnText("step_2", 2), fnText("step_3", 3)
 
 	patch := parsePatch(t, renamePatch)
-	warm := New(patch, Options{Workers: 4, Store: cache.NewMemory(nil, 0)})
-	scratch := New(patch, Options{Workers: 1, NoFuncCache: true})
+	warm := single(patch, Options{Workers: 4, Store: cache.NewMemory(nil, 0)})
+	scratch := single(patch, Options{Workers: 1, NoFuncCache: true})
 
 	cold := runAll(t, warm, mk("\n", f0, f1, f2, f3))
-	if cold[0].FuncsMatched != 4 {
-		t.Fatalf("cold run matched %d functions, want 4", cold[0].FuncsMatched)
+	if only(cold[0]).FuncsMatched != 4 {
+		t.Fatalf("cold run matched %d functions, want 4", only(cold[0]).FuncsMatched)
 	}
 
 	check := func(t *testing.T, files []core.SourceFile, wantMatched, wantCached int) {
 		t.Helper()
 		got := runAll(t, warm, files)
 		compareResults(t, "warm", got, runAll(t, scratch, files))
-		if got[0].FuncsMatched != wantMatched || got[0].FuncsCached != wantCached {
+		if only(got[0]).FuncsMatched != wantMatched || only(got[0]).FuncsCached != wantCached {
 			t.Errorf("matched=%d cached=%d, want %d/%d",
-				got[0].FuncsMatched, got[0].FuncsCached, wantMatched, wantCached)
+				only(got[0]).FuncsMatched, only(got[0]).FuncsCached, wantMatched, wantCached)
 		}
 	}
 
@@ -268,9 +268,9 @@ func TestFunctionCacheCorruptionHeals(t *testing.T) {
 	bodies := []string{"\told_api(x, 0);\n", "\told_api(x, 1);\n", "\told_api(x, 2);\n"}
 	files := []core.SourceFile{fnBuildFile("heal.c", bodies)}
 	patch := parsePatch(t, renamePatch)
-	want := runAll(t, New(patch, Options{Workers: 2, NoFuncCache: true}), files)
+	want := runAll(t, single(patch, Options{Workers: 2, NoFuncCache: true}), files)
 
-	r1 := New(patch, Options{Workers: 2, CacheDir: dir})
+	r1 := single(patch, Options{Workers: 2, CacheDir: dir})
 	compareResults(t, "cold", runAll(t, r1, files), want)
 
 	// Garbage every result entry (file-level under res/, segment under fn/).
@@ -291,11 +291,11 @@ func TestFunctionCacheCorruptionHeals(t *testing.T) {
 		t.Fatal("cold run persisted no result entries")
 	}
 
-	r2 := New(patch, Options{Workers: 2, CacheDir: dir})
+	r2 := single(patch, Options{Workers: 2, CacheDir: dir})
 	healed := runAll(t, r2, files)
 	compareResults(t, "healed", healed, want)
-	if healed[0].FuncsMatched != 3 {
-		t.Errorf("healing run matched %d functions, want 3 (all re-derived)", healed[0].FuncsMatched)
+	if only(healed[0]).FuncsMatched != 3 {
+		t.Errorf("healing run matched %d functions, want 3 (all re-derived)", only(healed[0]).FuncsMatched)
 	}
 	if n := r2.Cache().CorruptEntries(); n == 0 {
 		t.Error("corrupt entries were read back without being counted")
@@ -304,12 +304,12 @@ func TestFunctionCacheCorruptionHeals(t *testing.T) {
 	// The rebuilt records replay: edit one function, only it re-matches.
 	bodies[1] = "\told_api(x, 99);\n"
 	edited := []core.SourceFile{fnBuildFile("heal.c", bodies)}
-	wantEdited := runAll(t, New(patch, Options{Workers: 2, NoFuncCache: true}), edited)
-	r3 := New(patch, Options{Workers: 2, CacheDir: dir})
+	wantEdited := runAll(t, single(patch, Options{Workers: 2, NoFuncCache: true}), edited)
+	r3 := single(patch, Options{Workers: 2, CacheDir: dir})
 	after := runAll(t, r3, edited)
 	compareResults(t, "after-heal", after, wantEdited)
-	if after[0].FuncsMatched != 1 || after[0].FuncsCached != 2 {
-		t.Errorf("after heal: matched=%d cached=%d, want 1/2", after[0].FuncsMatched, after[0].FuncsCached)
+	if only(after[0]).FuncsMatched != 1 || only(after[0]).FuncsCached != 2 {
+		t.Errorf("after heal: matched=%d cached=%d, want 1/2", only(after[0]).FuncsMatched, only(after[0]).FuncsCached)
 	}
 }
 
@@ -359,7 +359,7 @@ func TestFuncStoreWriteDiscipline(t *testing.T) {
 	mem := cache.NewMemory(nil, 0)
 	cs := newCountingStore(mem)
 	patch := parsePatch(t, renamePatch)
-	r := New(patch, Options{Workers: 2, Store: cs})
+	r := single(patch, Options{Workers: 2, Store: cs})
 
 	bodies := make([]string, k)
 	for i := range bodies {

@@ -220,11 +220,20 @@ func (c *Campaign) processState(engines []*core.Engine, popts cparse.Options, tk
 			}
 		}
 		if cp.filter != nil {
-			if err := ensureWords(); err != nil {
+			ensure := ensureWords
+			if c.probeAtoms {
+				ensure = ensureCur
+			}
+			if err := ensure(); err != nil {
 				return fail(err)
 			}
 			psp := tk.Start(obs.StagePrefilter).File(st.Name)
-			pass := cp.filter.MayMatchWords(words)
+			var pass bool
+			if c.probeAtoms {
+				pass = cp.filter.MayMatch(cur)
+			} else {
+				pass = cp.filter.MayMatchWords(words)
+			}
 			if pass {
 				psp.Outcome(obs.OutcomePass)
 			} else {
@@ -312,6 +321,10 @@ func (c *Campaign) processState(engines []*core.Engine, popts cparse.Options, tk
 		// Every member replayed or skipped without needing the bytes: the
 		// file is unchanged and was never read.
 		fr.OutputElided = true
+		return fr
+	}
+	if curIsInput {
+		fr.Output = cur // no member changed the text: nothing to diff
 		return fr
 	}
 	if err := st.load(); err != nil { // the diff needs the original input

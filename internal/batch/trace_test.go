@@ -52,9 +52,9 @@ func tracePatch(t testing.TB) *smpl.Patch {
 // missing from the profile.
 func TestTraceSelfTimeCoversWall(t *testing.T) {
 	tr := obs.New()
-	r := New(tracePatch(t), Options{Workers: 1, NoFuncCache: true, Tracer: tr,
+	r := single(tracePatch(t), Options{Workers: 1, NoFuncCache: true, Tracer: tr,
 		Store: cache.NewMemory(nil, 256)})
-	r.Run(traceFixture(8), func(fr FileResult) bool {
+	r.Run(traceFixture(8), func(fr CampaignFileResult) bool {
 		if fr.Err != nil {
 			t.Fatal(fr.Err)
 		}
@@ -129,8 +129,8 @@ func decodeTrace(t *testing.T, tr *obs.Tracer) chromeTraceFile {
 // thread_name metadata event.
 func TestTraceSpansNestPerTrack(t *testing.T) {
 	tr := obs.New()
-	r := New(tracePatch(t), Options{Workers: 2, Tracer: tr, Store: cache.NewMemory(nil, 256)})
-	r.Run(traceFixture(8), func(fr FileResult) bool {
+	r := single(tracePatch(t), Options{Workers: 2, Tracer: tr, Store: cache.NewMemory(nil, 256)})
+	r.Run(traceFixture(8), func(fr CampaignFileResult) bool {
 		if fr.Err != nil {
 			t.Fatal(fr.Err)
 		}
@@ -261,7 +261,7 @@ func BenchmarkTraceOverhead(b *testing.B) {
 			if mode.traced {
 				opts.Tracer = obs.New()
 			}
-			r := New(patch, opts)
+			r := single(patch, opts)
 			prime := []core.SourceFile{{Name: "k.c", Src: benchKernel(10, 16, -1)}}
 			runBench(b, r, prime, -1, -1)
 			b.SetBytes(int64(len(prime[0].Src)))

@@ -2,23 +2,29 @@ package core
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/index"
 	"repro/internal/smpl"
 )
 
-// ValidateDefines checks that every define names a virtual declared in the
-// patch — the misconfiguration Engine.Run rejects. Callers that apply one
-// patch many times (the batch subsystem, CLI front ends) validate once up
-// front instead of reporting the same error per file.
-func ValidateDefines(patch *smpl.Patch, defines []string) error {
+// ValidateDefines checks that every define names a virtual declared by at
+// least one of the patches — the misconfiguration Engine.Run rejects. Callers
+// that apply patches many times (the batch subsystem, CLI front ends) validate
+// once up front instead of reporting the same error per file; a campaign
+// passes every member, since each member sees only the names it declares.
+func ValidateDefines(defines []string, patches ...*smpl.Patch) error {
 	declared := map[string]bool{}
-	for _, v := range patch.Virtuals {
-		declared[v] = true
+	names := make([]string, len(patches))
+	for i, p := range patches {
+		names[i] = p.Name
+		for _, v := range p.Virtuals {
+			declared[v] = true
+		}
 	}
 	for _, d := range defines {
 		if !declared[d] {
-			return fmt.Errorf("define %q is not declared virtual in %s", d, patch.Name)
+			return fmt.Errorf("define %q is not declared virtual in %s", d, strings.Join(names, " or "))
 		}
 	}
 	return nil

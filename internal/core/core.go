@@ -66,7 +66,8 @@ type Result struct {
 	// Outputs maps file name to transformed source (always present, equal
 	// to the input when nothing matched).
 	Outputs map[string]string
-	// Diffs maps file name to a unified diff ("" when unchanged).
+	// Diffs maps file name to a unified diff ("" when unchanged); filled by
+	// Run only.
 	Diffs map[string]string
 	// Matched reports which rules matched at least once.
 	Matched map[string]bool
@@ -232,14 +233,26 @@ func (e *Engine) Run(files []SourceFile) (*Result, error) {
 		}
 		parsed = append(parsed, ParsedFile{Name: f.Name, Src: f.Src, File: cf})
 	}
-	return e.RunParsed(parsed)
+	res, err := e.RunParsed(parsed)
+	if err != nil {
+		return nil, err
+	}
+	rsp := e.trace.Start(obs.StageRender)
+	res.Diffs = make(map[string]string, len(files))
+	for _, f := range files {
+		res.Diffs[f.Name] = diff.Unified("a/"+f.Name, "b/"+f.Name, f.Src, res.Outputs[f.Name])
+	}
+	rsp.End()
+	return res, nil
 }
 
-// RunParsed is Run over pre-parsed files. The engine never mutates the
-// given trees or their token files — edits accumulate in per-run EditSets
-// and transformed text is re-parsed into fresh trees — so one parse may be
-// shared sequentially across any number of engine runs (and concurrently
-// across engines, since matching only reads it).
+// RunParsed is Run over pre-parsed files, without the diffs: its caller
+// (the batch subsystem) diffs each file once after every patch has run, so
+// Result.Diffs stays nil and Result.Changed reports nothing. The engine
+// never mutates the given trees or their token files — edits accumulate in
+// per-run EditSets and transformed text is re-parsed into fresh trees — so
+// one parse may be shared sequentially across any number of engine runs
+// (and concurrently across engines, since matching only reads it).
 func (e *Engine) RunParsed(files []ParsedFile) (*Result, error) {
 	states := make([]*fileState, 0, len(files))
 	for _, f := range files {
@@ -248,12 +261,11 @@ func (e *Engine) RunParsed(files []ParsedFile) (*Result, error) {
 
 	res := &Result{
 		Outputs:    map[string]string{},
-		Diffs:      map[string]string{},
 		Matched:    map[string]bool{},
 		MatchCount: map[string]int{},
 	}
 	// Virtual rules: dependency atoms set by the caller.
-	if err := ValidateDefines(e.patch, e.opts.Defines); err != nil {
+	if err := ValidateDefines(e.opts.Defines, e.patch); err != nil {
 		return nil, err
 	}
 	for _, d := range e.opts.Defines {
@@ -299,9 +311,6 @@ func (e *Engine) RunParsed(files []ParsedFile) (*Result, error) {
 			st.src = st.ed.Apply()
 		}
 		res.Outputs[st.name] = st.src
-	}
-	for _, f := range files {
-		res.Diffs[f.Name] = diff.Unified("a/"+f.Name, "b/"+f.Name, f.Src, res.Outputs[f.Name])
 	}
 	rsp.End()
 	res.EnvCount = len(envs)

@@ -171,7 +171,7 @@ func (e *Engine) RunSegment(job SegmentJob) (*SegmentResult, error) {
 	if rule == nil {
 		return nil, fmt.Errorf("RunSegment: patch %s is not function-local", e.patch.Name)
 	}
-	if err := ValidateDefines(e.patch, e.opts.Defines); err != nil {
+	if err := ValidateDefines(e.opts.Defines, e.patch); err != nil {
 		return nil, err
 	}
 	sr := &SegmentResult{}

@@ -379,13 +379,13 @@ func isWordByte(b byte) bool {
 // verifyAll is the oracle: it applies the patch to every pair's before file
 // through the batch campaign API and demands byte-identity with the after.
 func verifyAll(p *smpl.Patch, pairs []Pair, eng core.Options) *PairError {
-	runner := batch.New(p, batch.Options{Engine: eng})
+	camp := batch.NewCampaign([]*smpl.Patch{p}, batch.Options{Engine: eng})
 	files := make([]core.SourceFile, len(pairs))
 	for i, pr := range pairs {
 		files[i] = core.SourceFile{Name: pr.Name, Src: pr.Before}
 	}
 	var perr *PairError
-	runner.Run(files, func(fr batch.FileResult) bool {
+	camp.Run(files, func(fr batch.CampaignFileResult) bool {
 		if fr.Index < 0 {
 			perr = &PairError{Stage: "verify", Detail: fmt.Sprintf("configuration: %v", fr.Err)}
 			return false
@@ -397,7 +397,7 @@ func verifyAll(p *smpl.Patch, pairs []Pair, eng core.Options) *PairError {
 		}
 		if fr.Output != pr.After {
 			perr = &PairError{Pair: pr.Name, Stage: "verify",
-				Detail: mismatchDetail(fr.Output, pr.After, fr.Matches())}
+				Detail: mismatchDetail(fr.Output, pr.After, fr.Patches[0].Matches())}
 			return false
 		}
 		return true

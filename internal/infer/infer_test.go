@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/batch"
 	"repro/internal/core"
+	"repro/internal/smpl"
 )
 
 func mustInfer(t *testing.T, pairs []Pair) *Result {
@@ -22,16 +23,14 @@ func mustInfer(t *testing.T, pairs []Pair) *Result {
 func apply(t *testing.T, res *Result, src string) string {
 	t.Helper()
 	var out string
-	perr := (*PairError)(nil)
-	runner := batch.New(res.Patch, batch.Options{})
-	runner.Run([]core.SourceFile{{Name: "x.c", Src: src}}, func(fr batch.FileResult) bool {
+	camp := batch.NewCampaign([]*smpl.Patch{res.Patch}, batch.Options{})
+	camp.Run([]core.SourceFile{{Name: "x.c", Src: src}}, func(fr batch.CampaignFileResult) bool {
 		if fr.Err != nil {
 			t.Fatalf("apply: %v", fr.Err)
 		}
 		out = fr.Output
 		return true
 	})
-	_ = perr
 	return out
 }
 

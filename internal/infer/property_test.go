@@ -71,9 +71,9 @@ func TestInferPropertyRandomPerturbations(t *testing.T) {
 			// it differs from the original only in the identifiers.
 			rBefore, rAfter := fixture(rand.New(rand.NewSource(seed)), "g_prop", "val", "count")
 			var got string
-			batch.New(res.Patch, batch.Options{}).Run(
+			batch.NewCampaign([]*smpl.Patch{res.Patch}, batch.Options{}).Run(
 				[]core.SourceFile{{Name: "r.c", Src: rBefore}},
-				func(fr batch.FileResult) bool {
+				func(fr batch.CampaignFileResult) bool {
 					if fr.Err != nil {
 						t.Fatalf("apply to renamed copy: %v", fr.Err)
 					}

@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/batch"
 	"repro/internal/core"
+	"repro/internal/smpl"
 )
 
 // fnKernelFile renders a k-function translation unit where every function
@@ -59,14 +60,14 @@ func TestSessionFunctionGranularApply(t *testing.T) {
 	writeKernel(t, root, consts, true)
 	s := newTestSession(t, root, 0)
 
-	scratch := func(consts []int) batch.FileResult {
-		r := batch.New(parsePatch(t, "rename.cocci", renamePatch),
+	scratch := func(consts []int) batch.CampaignFileResult {
+		c := batch.NewCampaign([]*smpl.Patch{parsePatch(t, "rename.cocci", renamePatch)},
 			batch.Options{Workers: 1, NoFuncCache: true})
-		var out batch.FileResult
+		var out batch.CampaignFileResult
 		// The session names corpus files by absolute path; mirror that so
 		// the diffs compare byte-for-byte.
-		r.Run([]core.SourceFile{{Name: filepath.Join(root, "ker.c"), Src: fnKernelFile(consts)}},
-			func(fr batch.FileResult) bool { out = fr; return true })
+		c.Run([]core.SourceFile{{Name: filepath.Join(root, "ker.c"), Src: fnKernelFile(consts)}},
+			func(fr batch.CampaignFileResult) bool { out = fr; return true })
 		return out
 	}
 

@@ -409,14 +409,15 @@ type BatchStats struct {
 // shared; each file is patched independently (environments do not flow
 // between files), and results stream back in input order regardless of
 // which worker finishes first, so output is deterministic for any worker
-// count. See docs/batch.md.
+// count. It is a one-member Campaign viewed through single-patch result
+// types. See docs/batch.md.
 type BatchApplier struct {
-	r *batch.Runner
+	c *Campaign
 }
 
 // NewBatchApplier compiles the patch for concurrent application.
 func NewBatchApplier(p *Patch, opts Options) *BatchApplier {
-	return &BatchApplier{r: batch.New(p.p, opts.batch())}
+	return &BatchApplier{c: NewCampaign([]*Patch{p}, opts)}
 }
 
 // RegisterScript installs a Go handler for the named script rule on every
@@ -425,7 +426,7 @@ func NewBatchApplier(p *Patch, opts Options) *BatchApplier {
 // cache for this applier (the handler's behaviour is not captured by the
 // patch hash the cache keys on); the scan cache stays active.
 func (b *BatchApplier) RegisterScript(rule string, fn ScriptFunc) *BatchApplier {
-	b.r.RegisterScript(rule, core.ScriptFunc(fn))
+	b.c.RegisterScript(rule, fn)
 	return b
 }
 
@@ -435,7 +436,7 @@ func (b *BatchApplier) RegisterScript(rule string, fn ScriptFunc) *BatchApplier 
 // fingerprint, so the persistent result cache stays enabled: bumping the
 // version invalidates every cached outcome the handler helped produce.
 func (b *BatchApplier) RegisterScriptVersioned(rule, version string, fn ScriptFunc) *BatchApplier {
-	b.r.RegisterScriptVersioned(rule, version, core.ScriptFunc(fn))
+	b.c.RegisterScriptVersioned(rule, version, fn)
 	return b
 }
 
@@ -459,7 +460,7 @@ type CacheStatus struct {
 }
 
 // CacheStatus reports the state of this applier's persistent cache.
-func (b *BatchApplier) CacheStatus() CacheStatus { return cacheStatus(b.r.Cache()) }
+func (b *BatchApplier) CacheStatus() CacheStatus { return b.c.CacheStatus() }
 
 func cacheStatus(c *cache.Cache) CacheStatus {
 	if c == nil {
@@ -478,11 +479,7 @@ func cacheStatus(c *cache.Cache) CacheStatus {
 // once, as a single FileResult with an empty Name, instead of once per
 // file; ApplyAllFunc returns it as the run error.
 func (b *BatchApplier) ApplyAll(files []File) iter.Seq[FileResult] {
-	return func(yield func(FileResult) bool) {
-		b.r.Run(toSource(files), func(fr batch.FileResult) bool {
-			return yield(publicResult(fr))
-		})
-	}
+	return soleResults(b.c.ApplyAll(files))
 }
 
 // ApplyAllPaths is ApplyAll over on-disk files: each worker reads its file
@@ -490,11 +487,7 @@ func (b *BatchApplier) ApplyAll(files []File) iter.Seq[FileResult] {
 // corpus is ever resident in memory. Unreadable files report the error in
 // their FileResult like any other per-file failure.
 func (b *BatchApplier) ApplyAllPaths(paths []string) iter.Seq[FileResult] {
-	return func(yield func(FileResult) bool) {
-		b.r.RunPaths(paths, func(fr batch.FileResult) bool {
-			return yield(publicResult(fr))
-		})
-	}
+	return soleResults(b.c.ApplyAllPaths(paths))
 }
 
 // ApplyAllFunc is the callback form of ApplyAll: fn runs once per file in
@@ -502,51 +495,68 @@ func (b *BatchApplier) ApplyAllPaths(paths []string) iter.Seq[FileResult] {
 // from fn stops the batch and is returned; per-file failures only count in
 // BatchStats.Errors.
 func (b *BatchApplier) ApplyAllFunc(files []File, fn func(FileResult) error) (BatchStats, error) {
-	st, err := b.r.Collect(toSource(files), wrapCallback(fn))
-	return publicStats(st), err
+	st, err := b.c.ApplyAllFunc(files, soleCallback(fn))
+	return soleStats(st), err
 }
 
 // ApplyAllPathsFunc is the callback form of ApplyAllPaths.
 func (b *BatchApplier) ApplyAllPathsFunc(paths []string, fn func(FileResult) error) (BatchStats, error) {
-	st, err := b.r.CollectPaths(paths, wrapCallback(fn))
-	return publicStats(st), err
+	st, err := b.c.ApplyAllPathsFunc(paths, soleCallback(fn))
+	return soleStats(st), err
 }
 
-func publicResult(fr batch.FileResult) FileResult {
-	return FileResult{
-		Name:          fr.Name,
-		Output:        fr.Output,
-		Diff:          fr.Diff,
-		MatchCount:    fr.MatchCount,
-		Skipped:       fr.Skipped,
-		Cached:        fr.Cached,
-		EnvsTruncated: fr.EnvsTruncated,
-		FuncsMatched:  fr.FuncsMatched,
-		FuncsCached:   fr.FuncsCached,
-		Warnings:      publicWarnings(fr.Warnings),
-		Demoted:       fr.Demoted,
-		Findings:      fr.Findings,
-		Parsed:        fr.Parsed,
-		Err:           fr.Err,
+// soleResult views a one-member campaign's file result as a FileResult: the
+// file-level fields plus the member's outcome (absent on a per-file error).
+func soleResult(fr CampaignFileResult) FileResult {
+	out := FileResult{Name: fr.Name, Output: fr.Output, Diff: fr.Diff, Parsed: fr.Parsed, Err: fr.Err}
+	if len(fr.Patches) == 1 {
+		o := fr.Patches[0]
+		out.MatchCount = o.MatchCount
+		out.Skipped = o.Skipped
+		out.Cached = o.Cached
+		out.EnvsTruncated = o.EnvsTruncated
+		out.FuncsMatched = o.FuncsMatched
+		out.FuncsCached = o.FuncsCached
+		out.Warnings = o.Warnings
+		out.Demoted = o.Demoted
+		out.Findings = o.Findings
+	}
+	return out
+}
+
+// soleStats views a one-member campaign's statistics as BatchStats.
+func soleStats(st CampaignStats) BatchStats {
+	out := BatchStats{Files: st.Files, Changed: st.Changed, Errors: st.Errors, Parsed: st.Parsed}
+	if len(st.PerPatch) == 1 { // empty when a configuration error aborted the run
+		ps := st.PerPatch[0]
+		out.Matched = ps.Matched
+		out.Matches = ps.Matches
+		out.Skipped = ps.Skipped
+		out.Cached = ps.Cached
+		out.FuncsMatched = ps.FuncsMatched
+		out.FuncsCached = ps.FuncsCached
+		out.Demoted = ps.Demoted
+		out.Warnings = ps.Warnings
+		out.Findings = ps.Findings
+	}
+	return out
+}
+
+func soleResults(seq iter.Seq[CampaignFileResult]) iter.Seq[FileResult] {
+	return func(yield func(FileResult) bool) {
+		for fr := range seq {
+			if !yield(soleResult(fr)) {
+				return
+			}
+		}
 	}
 }
 
-func publicStats(st batch.Stats) BatchStats {
-	return BatchStats{
-		Files:        st.Files,
-		Matched:      st.Matched,
-		Changed:      st.Changed,
-		Errors:       st.Errors,
-		Matches:      st.Matches,
-		Skipped:      st.Skipped,
-		Cached:       st.Cached,
-		FuncsMatched: st.FuncsMatched,
-		FuncsCached:  st.FuncsCached,
-		Demoted:      st.Demoted,
-		Warnings:     st.Warnings,
-		Findings:     st.Findings,
-		Parsed:       st.Parsed,
+func soleCallback(fn func(FileResult) error) func(CampaignFileResult) error {
+	if fn == nil {
+		return nil
 	}
+	return func(fr CampaignFileResult) error { return fn(soleResult(fr)) }
 }
 
 // PatchOutcome is one campaign member's effect on one file.
@@ -775,13 +785,6 @@ func wrapCampaignCallback(fn func(CampaignFileResult) error) func(batch.Campaign
 		return nil
 	}
 	return func(fr batch.CampaignFileResult) error { return fn(publicCampaignResult(fr)) }
-}
-
-func wrapCallback(fn func(FileResult) error) func(batch.FileResult) error {
-	if fn == nil {
-		return nil
-	}
-	return func(fr batch.FileResult) error { return fn(publicResult(fr)) }
 }
 
 func toSource(files []File) []core.SourceFile {

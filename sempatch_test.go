@@ -1,6 +1,7 @@
 package sempatch
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -133,5 +134,34 @@ func TestOptionsPropagate(t *testing.T) {
 	}
 	if !strings.Contains(res.Outputs["a.cc"], "a[1, 2, 3] = 0;") {
 		t.Errorf("output: %s", res.Outputs["a.cc"])
+	}
+}
+
+// A BatchApplier is a one-member campaign, so a file whose parse fails
+// counts as parsed — in its FileResult and in BatchStats — exactly as a
+// campaign counts it; the prefilter-skipped file does not.
+func TestBatchParseFailureCountsParsed(t *testing.T) {
+	p, err := ParsePatch("r.cocci", renamePatch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := []File{
+		{Name: "ok.c", Src: "void f(void){ foo(1); }\n"},
+		{Name: "broken.c", Src: "void g( {{ foo(2"},
+		{Name: "other.c", Src: "void h(void){ baz(); }\n"},
+	}
+	var parsed []bool
+	st, err := NewBatchApplier(p, Options{Workers: 2}).ApplyAllFunc(files, func(fr FileResult) error {
+		parsed = append(parsed, fr.Parsed)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []bool{true, true, false}; !slices.Equal(parsed, want) {
+		t.Errorf("FileResult.Parsed = %v, want %v", parsed, want)
+	}
+	if st.Files != 3 || st.Errors != 1 || st.Parsed != 2 || st.Skipped != 1 || st.Changed != 1 {
+		t.Errorf("stats = %+v, want 3 files, 1 error, 2 parsed, 1 skipped, 1 changed", st)
 	}
 }

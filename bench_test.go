@@ -314,7 +314,7 @@ func BenchmarkBatchApply(b *testing.B) {
 // BenchmarkBatchApply, but served from a warm sempatch.Session — compiled
 // patterns, content hashes, word sets, parse trees, and results all
 // resident. The warm sweep replays every outcome from the in-memory cache
-// (zero parses; the changed files are re-read only to recompute diffs), so
+// (zero parses, zero reads: each changed file's diff hunks replay too), so
 // the warm-sweep/BatchApply ratio is the price a cold process pays per
 // run; docs/serve.md records it. warm-apply is the single-file request
 // path an editor integration would hit.

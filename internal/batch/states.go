@@ -120,10 +120,24 @@ func (c *Campaign) processState(engines []*core.Engine, popts cparse.Options, tk
 	curHash := st.Hash
 	parsed := st.Parsed
 	var words map[string]bool
+	// changers counts the members that changed the text; hunks is the diff
+	// body a change's record carries, if any. With a single changer, that
+	// is the whole file's diff body.
+	changers := 0
+	hunks := ""
 
 	fail := func(err error) CampaignFileResult {
 		fr.Err = err
 		return fr
+	}
+	loadInput := func() error {
+		if st.Loaded {
+			return nil
+		}
+		sp := tk.Start(obs.StageRead).File(st.Name)
+		err := st.load()
+		sp.End()
+		return err
 	}
 	ensureCur := func() error {
 		if curLoaded {
@@ -131,10 +145,7 @@ func (c *Campaign) processState(engines []*core.Engine, popts cparse.Options, tk
 		}
 		// Only reachable while cur is the input: transformed text is always
 		// resident.
-		sp := tk.Start(obs.StageRead).File(st.Name)
-		err := st.load()
-		sp.End()
-		if err != nil {
+		if err := loadInput(); err != nil {
 			return err
 		}
 		cur, curLoaded = st.Src, true
@@ -212,6 +223,8 @@ func (c *Campaign) processState(engines []*core.Engine, popts cparse.Options, tk
 				o.Findings = loadFindings(rec.Findings)
 				if rec.Changed {
 					o.Changed = true
+					changers++
+					hunks = rec.Diff
 					cur, curLoaded, curIsInput = rec.Output, true, false
 					curHash, words, parsed = "", nil, nil
 				}
@@ -283,9 +296,13 @@ func (c *Campaign) processState(engines []*core.Engine, popts cparse.Options, tk
 					rec.Changed = true
 					rec.Output = out.Output
 					next = c.verifyOutcome(tk, st.Name, cur, out.Output, &o, rec)
+					if o.Changed && curIsInput {
+						hunks = c.recordHunks(tk, st.Name, cur, next, rec)
+					}
 				}
 				c.put(tk, cp, curHash, rec)
 				if o.Changed {
+					changers++
 					cur, curLoaded, curIsInput = next, true, false
 					curHash, words, parsed = "", nil, nil
 				}
@@ -309,9 +326,13 @@ func (c *Campaign) processState(engines []*core.Engine, popts cparse.Options, tk
 			rec.Changed = true
 			rec.Output = out
 			out = c.verifyOutcome(tk, st.Name, cur, out, &o, rec)
+			if o.Changed && curIsInput {
+				hunks = c.recordHunks(tk, st.Name, cur, out, rec)
+			}
 		}
 		c.put(tk, cp, curHash, rec)
 		if o.Changed {
+			changers++
 			cur, curLoaded, curIsInput = out, true, false
 			curHash, words, parsed = "", nil, nil
 		}
@@ -327,12 +348,32 @@ func (c *Campaign) processState(engines []*core.Engine, popts cparse.Options, tk
 		fr.Output = cur // no member changed the text: nothing to diff
 		return fr
 	}
-	if err := st.load(); err != nil { // the diff needs the original input
+	fr.Output = cur
+	if changers == 1 && hunks != "" {
+		// The one change's hunks are the whole file's: no read, no diff.
+		fr.Diff = diff.Header("a/"+st.Name, "b/"+st.Name) + hunks
+		return fr
+	}
+	if err := loadInput(); err != nil { // the diff needs the original input
 		return fail(err)
 	}
 	dsp := tk.Start(obs.StageRender).File(st.Name)
-	fr.Output = cur
 	fr.Diff = diff.Unified("a/"+st.Name, "b/"+st.Name, st.Src, cur)
 	dsp.End()
 	return fr
+}
+
+// recordHunks stores in rec, and returns, the diff hunks of the first
+// member change to a file (input → after), so a replay of rec needs neither
+// the input nor a diff. It computes nothing when rec will not be cached: a
+// run without a store diffs the file once at the end, as a file with
+// several changers always is.
+func (c *Campaign) recordHunks(tk *obs.Track, name, before, after string, rec *cache.Record) string {
+	if !c.resultCacheable() {
+		return ""
+	}
+	sp := tk.Start(obs.StageRender).File(name)
+	rec.Diff = diff.Hunks(before, after)
+	sp.End()
+	return rec.Diff
 }

@@ -49,7 +49,7 @@ import (
 
 // version is written to the VERSION marker file; bumping it (for a format
 // change) makes Open wipe and rebuild old caches instead of misreading them.
-const version = "gocci-cache-v1"
+const version = "gocci-cache-v2"
 
 // Cache is an open cache directory. The zero value is not usable; call Open.
 type Cache struct {
@@ -178,16 +178,23 @@ func (c *Cache) PutWords(fileHash string, words map[string]bool) error {
 
 // Record is one cached per-file patch outcome. It stores exactly what is
 // needed to synthesize the FileResult a full run would produce: the
-// transformed text when the file changed (the diff is recomputed — it is
-// deterministic), match counts, and the truncation/skip flags.
+// transformed text when the file changed, optionally the diff hunks that
+// lead to it, match counts, and the truncation/skip flags.
 type Record struct {
 	// MatchCount counts matches per rule.
 	MatchCount map[string]int `json:"match_count,omitempty"`
 	// Changed reports that the output differs from the input; Output then
-	// holds the transformed text and Sum its content hash.
+	// holds the transformed text and Sum the content hash of Output and
+	// Diff together.
 	Changed bool   `json:"changed,omitempty"`
 	Output  string `json:"output,omitempty"`
-	Sum     string `json:"sum,omitempty"`
+	// Diff, when set, holds the label-free unified diff hunks
+	// (diff.Hunks) from the record's input text to Output, so a replay can
+	// print the file's diff without reading or diffing the input. It
+	// carries no file names: a record is keyed by content, so files with
+	// identical text under different names share it.
+	Diff string `json:"diff,omitempty"`
+	Sum  string `json:"sum,omitempty"`
 	// Skipped records that the prefilter rejected the file without parsing.
 	Skipped bool `json:"skipped,omitempty"`
 	// EnvsTruncated records that the run hit the MaxEnvs cap.
@@ -253,9 +260,10 @@ func (c *Cache) Result(key, fileHash string) (*Record, bool) {
 	if !c.load(path, &r) {
 		return nil, false
 	}
-	// Never trust a transformed output whose checksum does not match: a
-	// bit-flipped entry must be rebuilt, not written into user files.
-	if r.Changed && HashString(r.Output) != r.Sum {
+	// Never trust a transformed output or diff whose checksum does not
+	// match: a bit-flipped entry must be rebuilt, not written into user
+	// files or printed.
+	if r.Changed && r.sum() != r.Sum {
 		c.drop(path)
 		return nil, false
 	}
@@ -265,9 +273,14 @@ func (c *Cache) Result(key, fileHash string) (*Record, bool) {
 // PutResult stores one per-file outcome.
 func (c *Cache) PutResult(key, fileHash string, r *Record) error {
 	if r.Changed {
-		r.Sum = HashString(r.Output)
+		r.Sum = r.sum()
 	}
 	return c.store(c.resPath(key, fileHash), r)
+}
+
+// sum is the checksum of a changed record's payload.
+func (r *Record) sum() string {
+	return HashString(r.Output + "\x00" + r.Diff)
 }
 
 // FuncRecord is one cached per-segment outcome: the result of matching one

@@ -104,35 +104,45 @@ func TestCorruptEntryDropped(t *testing.T) {
 	}
 }
 
-// Valid JSON with a flipped output byte fails the checksum and is rebuilt,
-// never written into user files.
+// Valid JSON with a flipped output or diff byte fails the checksum and is
+// rebuilt, never written into user files or printed.
 func TestChecksumMismatchDropped(t *testing.T) {
-	c, err := Open(t.TempDir() + "/cache")
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := ResultKey("patch", "opts")
-	h := HashString("src")
-	if err := c.PutResult(key, h, &Record{Changed: true, Output: "good output"}); err != nil {
-		t.Fatal(err)
-	}
-	path := c.resPath(key, h)
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, []byte(strings.Replace(string(b), "good", "evil", 1)), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := c.Result(key, h); ok {
-		t.Fatal("tampered entry returned")
-	}
-	if c.CorruptEntries() != 1 {
-		t.Fatalf("CorruptEntries = %d, want 1", c.CorruptEntries())
+	for _, field := range []string{"output", "diff"} {
+		t.Run(field, func(t *testing.T) {
+			c, err := Open(t.TempDir() + "/cache")
+			if err != nil {
+				t.Fatal(err)
+			}
+			key := ResultKey("patch", "opts")
+			h := HashString("src")
+			rec := &Record{Changed: true, Output: "good output\n", Diff: "@@ -1,1 +1,1 @@\n-src\n+good output\n"}
+			if err := c.PutResult(key, h, rec); err != nil {
+				t.Fatal(err)
+			}
+			path := c.resPath(key, h)
+			b, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Flip "good" inside the chosen field only.
+			marker := `"` + field + `":"`
+			at := strings.Index(string(b), marker) + len(marker)
+			tampered := string(b[:at]) + strings.Replace(string(b[at:]), "good", "evil", 1)
+			if err := os.WriteFile(path, []byte(tampered), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := c.Result(key, h); ok {
+				t.Fatal("tampered entry returned")
+			}
+			if c.CorruptEntries() != 1 {
+				t.Fatalf("CorruptEntries = %d, want 1", c.CorruptEntries())
+			}
+		})
 	}
 }
 
-// An old-format cache is wiped and rebuilt, and the rebuild is reported.
+// An old-format cache (v1 records have no diff in their checksum) is wiped
+// and rebuilt, and the rebuild is reported.
 func TestVersionMismatchRebuilds(t *testing.T) {
 	dir := t.TempDir() + "/cache"
 	c, err := Open(dir)
@@ -143,15 +153,15 @@ func TestVersionMismatchRebuilds(t *testing.T) {
 	if err := c.PutWords(h, map[string]bool{"w": true}); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "VERSION"), []byte("gocci-cache-v0\n"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "VERSION"), []byte("gocci-cache-v1\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	c2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c2.Rebuilt() == "" {
-		t.Error("rebuild not reported")
+	if !strings.Contains(c2.Rebuilt(), "gocci-cache-v1") {
+		t.Errorf("rebuild reason %q does not name the old version", c2.Rebuilt())
 	}
 	if _, ok := c2.Words(h); ok {
 		t.Error("old entries survived the rebuild")

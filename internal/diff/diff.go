@@ -15,10 +15,36 @@ func Unified(labelA, labelB, a, b string) string {
 	if a == b {
 		return ""
 	}
+	var sb strings.Builder
+	sb.WriteString(Header(labelA, labelB))
+	writeHunks(&sb, a, b)
+	return sb.String()
+}
+
+// Header returns the "--- labelA" / "+++ labelB" lines that open a unified
+// diff.
+func Header(labelA, labelB string) string {
+	return "--- " + labelA + "\n+++ " + labelB + "\n"
+}
+
+// Hunks returns the label-free body of the unified diff of a -> b: its "@@"
+// hunks with three lines of context, "" when the inputs are identical. It
+// depends only on the two texts, so it can be stored and replayed under any
+// file name.
+func Hunks(a, b string) string {
+	if a == b {
+		return ""
+	}
+	var sb strings.Builder
+	writeHunks(&sb, a, b)
+	return sb.String()
+}
+
+// writeHunks appends the hunks of a -> b to sb.
+func writeHunks(sb *strings.Builder, a, b string) {
 	al := splitLines(a)
 	bl := splitLines(b)
-	ops := myers(al, bl)
-	return format(labelA, labelB, al, bl, ops, 3)
+	format(sb, al, bl, myers(al, bl), 3)
 }
 
 type opKind uint8
@@ -131,11 +157,8 @@ loop:
 	return ops
 }
 
-// format renders hunks with n lines of context.
-func format(labelA, labelB string, a, b []string, ops []op, ctx int) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "--- %s\n+++ %s\n", labelA, labelB)
-
+// format renders hunks with n lines of context into sb.
+func format(sb *strings.Builder, a, b []string, ops []op, ctx int) {
 	type hunk struct {
 		ops []op
 	}
@@ -213,19 +236,18 @@ func format(labelA, labelB string, a, b []string, ops []op, ctx int) string {
 		if bCount == 0 {
 			bPos = bStart
 		}
-		fmt.Fprintf(&sb, "@@ -%d,%d +%d,%d @@\n", aPos, aCount, bPos, bCount)
+		fmt.Fprintf(sb, "@@ -%d,%d +%d,%d @@\n", aPos, aCount, bPos, bCount)
 		for _, o := range h.ops {
 			switch o.kind {
 			case opEq:
-				writeLine(&sb, " ", a[o.ai])
+				writeLine(sb, " ", a[o.ai])
 			case opDel:
-				writeLine(&sb, "-", a[o.ai])
+				writeLine(sb, "-", a[o.ai])
 			case opIns:
-				writeLine(&sb, "+", b[o.bi])
+				writeLine(sb, "+", b[o.bi])
 			}
 		}
 	}
-	return sb.String()
 }
 
 func allEq(ops []op) bool {

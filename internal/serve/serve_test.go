@@ -110,11 +110,10 @@ func TestSessionWarmSweep(t *testing.T) {
 	if warm.Cached != n {
 		t.Errorf("warm sweep cached %d of %d", warm.Cached, n)
 	}
-	// A warm sweep parses nothing. It still reads the 3 files the patch
-	// changes: their outputs replay from the cache, but the unified diff is
-	// recomputed against the on-disk input text.
-	if warm.Parsed != 0 || warm.Read != 3 {
-		t.Errorf("warm sweep: parsed=%d read=%d, want parsed=0 read=3", warm.Parsed, warm.Read)
+	// A warm sweep parses and reads nothing: the 3 files the patch changes
+	// replay both their outputs and their diff hunks from the cache.
+	if warm.Parsed != 0 || warm.Read != 0 {
+		t.Errorf("warm sweep: parsed=%d read=%d, want parsed=0 read=0", warm.Parsed, warm.Read)
 	}
 
 	// Edit one file (content + mtime): the next sweep re-derives it alone.
@@ -131,10 +130,9 @@ func TestSessionWarmSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Exactly the edited file is parsed; reads are the edited file plus the
-	// three cached-changed files whose diffs are recomputed.
-	if third.Parsed != 1 || third.Read != 4 {
-		t.Errorf("after one edit: parsed=%d read=%d, want parsed=1 read=4", third.Parsed, third.Read)
+	// Exactly the edited file is read and parsed.
+	if third.Parsed != 1 || third.Read != 1 {
+		t.Errorf("after one edit: parsed=%d read=%d, want parsed=1 read=1", third.Parsed, third.Read)
 	}
 	if third.Cached != n-1 {
 		t.Errorf("after one edit: cached=%d, want %d", third.Cached, n-1)

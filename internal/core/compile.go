@@ -43,7 +43,9 @@ type Compiled struct {
 	Patch *smpl.Patch
 	// Prefilter is the required-atom index derived from the patch: it
 	// answers from raw bytes whether any rule could fire on a file, letting
-	// the batch subsystem skip parsing files that provably cannot match.
+	// the batch subsystem skip parsing files that provably cannot match, and
+	// the engine skip matching a rule on a file whose current text lacks
+	// that rule's required atoms.
 	Prefilter *index.Index
 	// Keyed by rule identity, not name: the parser does not reject
 	// duplicate rule names, and conflating two rules' metavariable tables
@@ -53,6 +55,9 @@ type Compiled struct {
 
 // compiledRule caches what runMatch would otherwise rebuild per run.
 type compiledRule struct {
+	// idx is the rule's position in Patch.Rules, which is also its entry
+	// in the Prefilter index.
+	idx   int
 	metas *smpl.MetaTable
 	// inherits maps a local metavariable name to the qualified
 	// "rule.remote" environment key it is bound from.
@@ -67,8 +72,8 @@ func Compile(patch *smpl.Patch) *Compiled {
 		Prefilter: index.Build(patch),
 		rules:     make(map[*smpl.Rule]*compiledRule, len(patch.Rules)),
 	}
-	for _, rule := range patch.Rules {
-		cr := &compiledRule{metas: smpl.NewMetaTable(rule.Metas), inherits: map[string]string{}}
+	for i, rule := range patch.Rules {
+		cr := &compiledRule{idx: i, metas: smpl.NewMetaTable(rule.Metas), inherits: map[string]string{}}
 		for _, md := range rule.Metas {
 			if md.FromRule != "" {
 				cr.inherits[md.Name] = md.FromRule + "." + md.RemoteName

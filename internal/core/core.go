@@ -19,6 +19,7 @@ import (
 	"repro/internal/cfg"
 	"repro/internal/cparse"
 	"repro/internal/diff"
+	"repro/internal/index"
 	"repro/internal/match"
 	"repro/internal/minipy"
 	"repro/internal/obs"
@@ -173,6 +174,25 @@ type fileState struct {
 	// built on the first check-rule match, invalidated with the parse.
 	seg     *cast.Segmentation
 	segDone bool
+	// words memoises identifier-word presence in src for the per-rule
+	// required-atom gate: each word is scanned for at most once per parse,
+	// however many rules ask. A reparse clears it with the tree, so a later
+	// rule sees the words an earlier rule inserted.
+	words map[string]bool
+}
+
+// hasWord reports whether the current text contains w as a complete
+// identifier word (index.ContainsWord), memoised per parse.
+func (st *fileState) hasWord(w string) bool {
+	if v, ok := st.words[w]; ok {
+		return v
+	}
+	if st.words == nil {
+		st.words = map[string]bool{}
+	}
+	v := index.ContainsWord(st.src, w)
+	st.words[w] = v
+	return v
 }
 
 // segmentation lazily segments the current parse (nil for files without
@@ -441,6 +461,15 @@ func (e *Engine) runMatch(rule *smpl.Rule, envs []match.Env, states []*fileState
 			rule.Name)
 	}
 
+	// Required-atom gate: a file whose current text lacks one of the
+	// rule's literal identifiers cannot match, so the matcher never walks
+	// it. The answer is exact for this parse (the index's one-sided
+	// guarantee, per rule), so results do not change.
+	live := e.gate(cr, states)
+	if len(live) == 0 {
+		msp.Outcome(obs.OutcomeSkip)
+	}
+
 	var out []match.Env
 	anyMatch := false
 
@@ -462,7 +491,7 @@ envLoop:
 		}
 
 		envMatched := false
-		for _, st := range states {
+		for _, st := range live {
 			m := &match.Matcher{
 				Pat:        rule.Pattern,
 				Metas:      metas,
@@ -533,6 +562,25 @@ envLoop:
 	return dedupEnvs(out), nil
 }
 
+// gate returns the states whose current text holds every required atom of
+// the rule (see index.Index.RuleMayMatch), in order. It returns states
+// itself when all pass, so the common single-file run allocates nothing.
+func (e *Engine) gate(cr *compiledRule, states []*fileState) []*fileState {
+	for i, st := range states {
+		if e.compiled.Prefilter.RuleMayMatch(cr.idx, st.hasWord) {
+			continue
+		}
+		live := append([]*fileState(nil), states[:i]...)
+		for _, st := range states[i+1:] {
+			if e.compiled.Prefilter.RuleMayMatch(cr.idx, st.hasWord) {
+				live = append(live, st)
+			}
+		}
+		return live
+	}
+	return states
+}
+
 // withFresh extends a match environment with this rule's fresh identifiers.
 func (e *Engine) withFresh(rule *smpl.Rule, env match.Env) match.Env {
 	out := env.Clone()
@@ -579,6 +627,7 @@ func (e *Engine) reparse(states []*fileState) error {
 		st.dirty = false
 		st.cfgs = nil // graphs describe the old tree
 		st.seg, st.segDone = nil, false
+		st.words = nil // presence answers describe the old text
 	}
 	return nil
 }

@@ -1,6 +1,8 @@
 package hpc
 
 import (
+	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -142,6 +144,48 @@ func TestAcc2ompParity(t *testing.T) {
 					name, cfg.Funcs, cfg.Seed, legacy, got)
 			}
 		}
+	}
+}
+
+// TestHipifyTraceShowsRuleGate checks that a trace says why a rule did
+// nothing: over one CUDA file most of hipify's one-identifier rename rules
+// find their identifier absent, and their match spans carry the skip
+// outcome, while the rules that do fire still report their matches.
+func TestHipifyTraceShowsRuleGate(t *testing.T) {
+	c, _ := ByName("hipify")
+	tr := sempatch.NewTracer()
+	src := codegen.CUDA(codegen.Config{Funcs: 3, StmtsPerFunc: 2, Seed: 1})
+	applyOne(t, c, sempatch.Options{Tracer: tr}, "app.cu", src)
+	var buf bytes.Buffer
+	if err := tr.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var trace struct {
+		TraceEvents []struct {
+			Name string `json:"name"`
+			Args struct {
+				Outcome string `json:"outcome"`
+				Matches int    `json:"matches"`
+			} `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &trace); err != nil {
+		t.Fatal(err)
+	}
+	skipped, fired := 0, 0
+	for _, ev := range trace.TraceEvents {
+		if ev.Name != "match" {
+			continue
+		}
+		if ev.Args.Outcome == "skip" {
+			skipped++
+		}
+		if ev.Args.Matches > 0 {
+			fired++
+		}
+	}
+	if skipped == 0 || fired == 0 {
+		t.Errorf("match spans: %d with the skip outcome, %d with matches; want both > 0", skipped, fired)
 	}
 }
 

@@ -167,6 +167,41 @@ func (ix *Index) UnprunableRules() []string {
 	return out
 }
 
+// RuleMayMatch reports whether the patch's i-th rule, a match rule, could
+// match a file whose identifier words has answers. It consults the rule's
+// required atoms and disjunction groups only — not its dependency, and not
+// words earlier rules might insert — so it is meant for the engine, which
+// evaluates dependencies itself and asks against the file's current text,
+// after earlier rules' edits. False is a guarantee: the matcher finds
+// nothing. Index rules line up with Patch.Rules, since Build records one
+// entry per rule.
+func (ix *Index) RuleMayMatch(i int, has func(string) bool) bool {
+	return ix.rules[i].present(has)
+}
+
+// present reports whether every required atom, and some word of every
+// disjunction group, satisfies has.
+func (r *ruleInfo) present(has func(string) bool) bool {
+	for _, a := range r.atoms {
+		if !has(a) {
+			return false
+		}
+	}
+	for _, g := range r.groups {
+		anyIn := false
+		for _, a := range g {
+			if has(a) {
+				anyIn = true
+				break
+			}
+		}
+		if !anyIn {
+			return false
+		}
+	}
+	return true
+}
+
 // Filter is an Index specialized to one run's virtual defines. Like the
 // Index it is immutable and safe for concurrent use.
 type Filter struct {
@@ -230,6 +265,7 @@ func (f *Filter) mayMatch(has func(string) bool) bool {
 	}
 	inserted := map[string]bool{}
 	insertedUnknown := false
+	hasOrInserted := func(w string) bool { return has(w) || inserted[w] }
 	any := false
 
 	for _, r := range f.ix.rules {
@@ -261,28 +297,8 @@ func (f *Filter) mayMatch(has func(string) bool) bool {
 		case smpl.MatchRule:
 			if evalDep(r.depends, fired) != triNo {
 				v = triMaybe
-				if !insertedUnknown {
-					for _, a := range r.atoms {
-						if !has(a) && !inserted[a] {
-							v = triNo
-							break
-						}
-					}
-					for _, g := range r.groups {
-						if v == triNo {
-							break
-						}
-						anyIn := false
-						for _, a := range g {
-							if has(a) || inserted[a] {
-								anyIn = true
-								break
-							}
-						}
-						if !anyIn {
-							v = triNo
-						}
-					}
+				if !insertedUnknown && !r.present(hasOrInserted) {
+					v = triNo
 				}
 			}
 			if v != triNo {

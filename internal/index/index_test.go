@@ -208,6 +208,47 @@ expression E;
 	}
 }
 
+// TestRuleMayMatch pins the per-rule query the engine gates each match rule
+// on: required atoms and disjunction groups against the given words only,
+// with dependencies and earlier rules' insertions left to the caller.
+func TestRuleMayMatch(t *testing.T) {
+	ix := build(t, `@r1@
+@@
+- foo();
++ bar();
+
+@r2 depends on r1@
+@@
+- bar();
+
+@r3@
+expression E;
+@@
+- \( first_variant(E) \| second_variant(E) \)
++ unified(E)
+`)
+	cases := []struct {
+		rule int
+		src  string
+		want bool
+	}{
+		{0, "void f(void) { foo(); }\n", true},
+		{0, "void f(void) { food(); }\n", false},
+		// r2's dependency on r1 is not consulted ...
+		{1, "void f(void) { bar(); }\n", true},
+		// ... and neither are the words r1 would insert.
+		{1, "void f(void) { foo(); }\n", false},
+		{2, "void f(void) { second_variant(1); }\n", true},
+		{2, "void f(void) { unrelated(1); }\n", false},
+	}
+	for _, tc := range cases {
+		has := func(w string) bool { return ContainsWord(tc.src, w) }
+		if got := ix.RuleMayMatch(tc.rule, has); got != tc.want {
+			t.Errorf("RuleMayMatch(%d, %q) = %v, want %v", tc.rule, tc.src, got, tc.want)
+		}
+	}
+}
+
 func TestAtomsSymbolIsRequired(t *testing.T) {
 	atoms := ruleAtoms(t, "@r@\nsymbol stride;\n@@\n- use(stride)\n+ use2(stride)\n")
 	if !hasAtom(atoms, "stride") {

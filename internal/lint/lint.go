@@ -396,13 +396,14 @@ func isConstTok(s string) bool {
 }
 
 // checkPrunability reports rules the required-atom prefilter can never use
-// to skip a file, reusing the very index the batch engine builds so the
-// diagnosis cannot drift from the real filter.
+// to skip a file, and the engine's per-rule gate can never use to skip
+// matching, reusing the very index both build so the diagnosis cannot drift
+// from the real filter.
 func checkPrunability(p *smpl.Patch) []Issue {
 	var issues []Issue
 	for _, name := range index.Build(p).UnprunableRules() {
 		issues = append(issues, Issue{Patch: p.Name, Rule: name, Code: CodeUnprunableRule,
-			Msg: "no required literal atoms: the prefilter must parse and match every file for this rule"})
+			Msg: "no required literal atoms: the prefilter must parse every file for this rule, and the engine must match it on every file"})
 	}
 	return issues
 }

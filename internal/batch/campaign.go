@@ -24,6 +24,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/cache"
+	"repro/internal/cast"
 	"repro/internal/core"
 	"repro/internal/cparse"
 	"repro/internal/index"
@@ -380,25 +381,27 @@ func (c *Campaign) put(tk *obs.Track, cp *campaignPatch, fileHash string, rec *c
 }
 
 // verifyOutcome runs the post-transform checker over one member's edit
-// (before → after), recording the findings on both the live outcome and its
-// cache record. An unsafe finding demotes the edit — the member's Changed is
-// cleared on both, and the returned text (what later members see) reverts to
-// before. Only called when the member actually changed the text.
-func (c *Campaign) verifyOutcome(tk *obs.Track, name, before, after string, o *PatchOutcome, rec *cache.Record) string {
+// (before → after, fb being before's tree), recording the findings on both
+// the live outcome and its cache record. An unsafe finding demotes the edit
+// — the member's Changed is cleared on both, and the returned text (what
+// later members see) reverts to before. The returned tree is the checker's
+// parse of the returned text, nil when it made none that later members can
+// use. Only called when the member actually changed the text.
+func (c *Campaign) verifyOutcome(tk *obs.Track, name, before, after string, fb *cast.File, o *PatchOutcome, rec *cache.Record) (string, *cast.File) {
 	if !c.opts.Verify {
-		return after
+		return after, nil
 	}
 	sp := tk.Start(obs.StageVerify).File(name)
-	warns := verify.Check(name, before, after, verifyOptions(c.opts.Engine))
+	warns, fa := verify.CheckTrees(name, before, after, fb, verifyOptions(c.opts.Engine))
 	sp.End()
 	o.Warnings = warns
 	rec.Warnings = storeWarnings(warns)
 	if verify.Unsafe(warns) {
 		o.Demoted, o.Changed = true, false
 		rec.Demoted, rec.Changed, rec.Output = true, false, ""
-		return before
+		return before, nil
 	}
-	return after
+	return after, fa
 }
 
 // Collect runs the campaign and accumulates aggregate and per-patch

@@ -119,6 +119,9 @@ func (c *Campaign) processState(engines []*core.Engine, popts cparse.Options, tk
 	curIsInput := true
 	curHash := st.Hash
 	parsed := st.Parsed
+	// checked reports that parsed is the verifier's tree of a member's
+	// output, which stands in for the parse the next running member needs.
+	checked := false
 	var words map[string]bool
 	// changers counts the members that changed the text; hunks is the diff
 	// body a change's record carries, if any. With a single changer, that
@@ -226,7 +229,7 @@ func (c *Campaign) processState(engines []*core.Engine, popts cparse.Options, tk
 					changers++
 					hunks = rec.Diff
 					cur, curLoaded, curIsInput = rec.Output, true, false
-					curHash, words, parsed = "", nil, nil
+					curHash, words, parsed, checked = "", nil, nil, false
 				}
 				fr.Patches = append(fr.Patches, o)
 				continue
@@ -277,6 +280,8 @@ func (c *Campaign) processState(engines []*core.Engine, popts cparse.Options, tk
 			if curIsInput {
 				st.Parsed, st.ParsedInput = cf, true
 			}
+		} else if checked {
+			fr.Parsed = true
 		}
 		if cp.fn != nil {
 			var fnStore cache.Store
@@ -292,10 +297,11 @@ func (c *Campaign) processState(engines []*core.Engine, popts cparse.Options, tk
 				o.Findings = out.Findings
 				rec := &cache.Record{MatchCount: out.MatchCount, Findings: storeFindings(out.Findings)}
 				next := out.Output
+				var nextTree *cast.File
 				if out.Changed {
 					rec.Changed = true
 					rec.Output = out.Output
-					next = c.verifyOutcome(tk, st.Name, cur, out.Output, &o, rec)
+					next, nextTree = c.verifyOutcome(tk, st.Name, cur, out.Output, parsed, &o, rec)
 					if o.Changed && curIsInput {
 						hunks = c.recordHunks(tk, st.Name, cur, next, rec)
 					}
@@ -304,7 +310,8 @@ func (c *Campaign) processState(engines []*core.Engine, popts cparse.Options, tk
 				if o.Changed {
 					changers++
 					cur, curLoaded, curIsInput = next, true, false
-					curHash, words, parsed = "", nil, nil
+					curHash, words = "", nil
+					parsed, checked = nextTree, nextTree != nil
 				}
 				fr.Patches = append(fr.Patches, o)
 				continue
@@ -322,10 +329,11 @@ func (c *Campaign) processState(engines []*core.Engine, popts cparse.Options, tk
 		o.Changed = out != cur
 		o.Findings = res.Findings
 		rec := &cache.Record{MatchCount: res.MatchCount, EnvsTruncated: res.EnvsTruncated, Findings: storeFindings(res.Findings)}
+		var outTree *cast.File
 		if o.Changed {
 			rec.Changed = true
 			rec.Output = out
-			out = c.verifyOutcome(tk, st.Name, cur, out, &o, rec)
+			out, outTree = c.verifyOutcome(tk, st.Name, cur, out, parsed, &o, rec)
 			if o.Changed && curIsInput {
 				hunks = c.recordHunks(tk, st.Name, cur, out, rec)
 			}
@@ -334,7 +342,8 @@ func (c *Campaign) processState(engines []*core.Engine, popts cparse.Options, tk
 		if o.Changed {
 			changers++
 			cur, curLoaded, curIsInput = out, true, false
-			curHash, words, parsed = "", nil, nil
+			curHash, words = "", nil
+			parsed, checked = outTree, outTree != nil
 		}
 		fr.Patches = append(fr.Patches, o)
 	}

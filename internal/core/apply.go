@@ -52,8 +52,8 @@ func (e *Engine) applyMatch(st *fileState, pat *smpl.Pattern, mt *match.Match, e
 		switch {
 		case blk.AnchorLine >= 0 && pat.LineMarks[blk.AnchorLine] == smpl.Minus:
 			// Replacement: insert at each code position where the anchor
-			// line's first minus token was deleted.
-			first, _ := lineTokens(pat, blk.AnchorLine)
+			// line's first minus token that matched code was deleted.
+			first := replacementAnchor(pat, res, blk.AnchorLine)
 			if first < 0 {
 				continue
 			}
@@ -107,6 +107,28 @@ func tokenEndsLine(st *fileState, i int) bool {
 		return true
 	}
 	return strings.Contains(toks[i+1].WS, "\n")
+}
+
+// replacementAnchor returns the first minus pattern token on the given body
+// line whose match resolves to code (-1 when none does). It is usually the
+// line's first token; a disjunction marker, or a token of a branch that did
+// not match, resolves to nothing and is passed over.
+func replacementAnchor(pat *smpl.Pattern, res *match.Resolver, line int) int {
+	first, last := lineTokens(pat, line)
+	if first < 0 {
+		return -1
+	}
+	for i := first; i <= last; i++ {
+		if pat.TokenMark(i) != smpl.Minus {
+			continue
+		}
+		for _, r := range res.Ranges(i) {
+			if r[0] >= 0 {
+				return i
+			}
+		}
+	}
+	return -1
 }
 
 // lineTokens returns the first and last pattern token index on the given

@@ -4,8 +4,9 @@
 // through the restricted Python interpreter or registered Go functions;
 // environments flow from rule to rule exactly as in Coccinelle, keyed by
 // rule-qualified metavariable names. Edited files are re-parsed lazily,
-// just before the next match rule runs, so later rules match the patched
-// code and a final rule's output never has to re-parse at all.
+// just before the next match rule that passes the required-atom gate runs,
+// so later rules match the patched code and an output no later rule can
+// match never has to re-parse at all.
 package core
 
 import (
@@ -158,15 +159,17 @@ func (e *Engine) SetTrace(tk *obs.Track) {
 
 // fileState tracks one file through the run.
 type fileState struct {
-	name  string
-	src   string
+	name string
+	src  string
+	// file is src's parse and ed collects edits against its tokens; both
+	// are nil between a refresh and the next rule that passes the gate.
 	file  *cast.File
 	ed    *transform.EditSet
 	dirty bool
 	trace *obs.Track
 	// cfgs caches one control-flow graph per function for the current
 	// parse. Both the CFG dots engine and the CTL verifier read through
-	// cfg(); a reparse invalidates the cache with the tree. Before this
+	// cfg(); a refresh invalidates the cache with the tree. Before this
 	// cache the CTL verifier rebuilt the graph per match — O(matches ×
 	// function size) on match-dense files (BenchmarkCFGCache).
 	cfgs map[*cast.FuncDef]*cfg.Graph
@@ -175,8 +178,8 @@ type fileState struct {
 	seg     *cast.Segmentation
 	segDone bool
 	// words memoises identifier-word presence in src for the per-rule
-	// required-atom gate: each word is scanned for at most once per parse,
-	// however many rules ask. A reparse clears it with the tree, so a later
+	// required-atom gate: each word is scanned for at most once per text,
+	// however many rules ask. A refresh clears it with the tree, so a later
 	// rule sees the words an earlier rule inserted.
 	words map[string]bool
 }
@@ -424,13 +427,10 @@ func (e *Engine) execScript(rule *smpl.Rule, locals map[string]string) (map[stri
 
 // runMatch executes a match rule over all files for every environment.
 func (e *Engine) runMatch(rule *smpl.Rule, envs []match.Env, states []*fileState, res *Result) ([]match.Env, error) {
-	// Earlier rules may have edited files; refresh parses lazily, here,
-	// rather than eagerly after each transformation — so a final rule's
-	// output never needs to re-parse at all (it may use constructs beyond
-	// our C++ subset, e.g. injected library macros).
-	if err := e.reparse(states); err != nil {
-		return nil, err
-	}
+	// Earlier rules may have edited files; bring their text up to date so
+	// the gate below reads the patched code. The trees are rebuilt later,
+	// and only for files that pass the gate.
+	refresh(states)
 	preMatches := res.MatchCount[rule.Name]
 	msp := e.trace.Start(obs.StageMatch).Rule(rule.Name)
 	defer func() { msp.Matches(res.MatchCount[rule.Name] - preMatches).End() }()
@@ -468,6 +468,13 @@ func (e *Engine) runMatch(rule *smpl.Rule, envs []match.Env, states []*fileState
 	live := e.gate(cr, states)
 	if len(live) == 0 {
 		msp.Outcome(obs.OutcomeSkip)
+	}
+	// Parse lazily, here, rather than eagerly after each transformation:
+	// a file no later rule can match — in particular a final rule's output
+	// — never re-parses at all (it may use constructs beyond our C++
+	// subset, e.g. injected library macros).
+	if err := e.parse(live); err != nil {
+		return nil, err
 	}
 
 	var out []match.Env
@@ -608,26 +615,36 @@ func (e *Engine) withFresh(rule *smpl.Rule, env match.Env) match.Env {
 	return out
 }
 
-// reparse refreshes dirty files so subsequent rules see transformed code.
-func (e *Engine) reparse(states []*fileState) error {
+// refresh applies each edited file's pending edits to its text and drops
+// the tree, and every memo, that describe the old text. parse rebuilds the
+// tree for the rules that can use it.
+func refresh(states []*fileState) {
 	for _, st := range states {
 		if !st.dirty {
 			continue
 		}
-		newSrc := st.ed.Apply()
-		sp := e.trace.Start(obs.StageParse).File(st.name)
-		cf, err := cparse.Parse(st.name, newSrc, e.parseOpts())
-		sp.End()
-		if err != nil {
-			return fmt.Errorf("reparsing %s after transformation: %w\nsource:\n%s", st.name, err, newSrc)
-		}
-		st.src = newSrc
-		st.file = cf
-		st.ed = transform.NewEditSet(cf.Toks)
-		st.dirty = false
+		st.src = st.ed.Apply()
+		st.file, st.ed, st.dirty = nil, nil, false
 		st.cfgs = nil // graphs describe the old tree
 		st.seg, st.segDone = nil, false
 		st.words = nil // presence answers describe the old text
+	}
+}
+
+// parse re-parses each file whose tree refresh dropped, so the rule about
+// to match sees the transformed code.
+func (e *Engine) parse(states []*fileState) error {
+	for _, st := range states {
+		if st.file != nil {
+			continue
+		}
+		sp := e.trace.Start(obs.StageParse).File(st.name)
+		cf, err := cparse.Parse(st.name, st.src, e.parseOpts())
+		sp.End()
+		if err != nil {
+			return fmt.Errorf("reparsing %s after transformation: %w\nsource:\n%s", st.name, err, st.src)
+		}
+		st.file, st.ed = cf, transform.NewEditSet(cf.Toks)
 	}
 	return nil
 }

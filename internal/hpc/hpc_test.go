@@ -189,6 +189,46 @@ func TestHipifyTraceShowsRuleGate(t *testing.T) {
 	}
 }
 
+// TestHipifyVerifyParsesOnce: --verify shares its trees with the hipify
+// campaign, so it costs at most one parse more than the unverified sweep —
+// of the last changing member's output, when no later member parses it
+// anyway.
+func TestHipifyVerifyParsesOnce(t *testing.T) {
+	c, _ := ByName("hipify")
+	cases := []struct {
+		name, src string
+		gap       int64
+	}{
+		// The launch rewrite, the last member, changes the file.
+		{"generated", codegen.CUDA(codegen.Config{Funcs: 3, StmtsPerFunc: 2, Seed: 1}), 1},
+		// Only hipify-funcs changes the file, and the launch member parses
+		// its output in either mode.
+		{"funcs only", "int work(float *d, int n) {\n\tcudaMalloc((void **)&d, n);\n\tcudaDeviceSynchronize();\n\treturn 0;\n}\n", 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			count := func(opts sempatch.Options) (string, sempatch.CampaignStats, int64) {
+				before := cparse.Parses()
+				out, st := applyOne(t, c, opts, "app.cu", tc.src)
+				return out, st, cparse.Parses() - before
+			}
+			out, st, n := count(sempatch.Options{})
+			outV, _, nv := count(sempatch.Options{Verify: true})
+			if outV != out {
+				t.Fatalf("verified output differs from unverified")
+			}
+			last := st.PerPatch[len(st.PerPatch)-1]
+			if lastChanged := last.Changed > 0; lastChanged != (tc.gap == 1) {
+				t.Fatalf("%s changed the file: %v; the case expects %v", last.Patch, lastChanged, tc.gap == 1)
+			}
+			t.Logf("parses: %d unverified, %d with --verify", n, nv)
+			if nv-n != tc.gap {
+				t.Errorf("parses: %d unverified, %d with --verify; want a gap of %d", n, nv, tc.gap)
+			}
+		})
+	}
+}
+
 // TestHipifyWarmSweep is the acceptance scenario: a repeat sweep over an
 // unchanged corpus replays entirely from the result cache (zero parses),
 // and after editing one function in one file, the function-granular cache

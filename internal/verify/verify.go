@@ -82,6 +82,16 @@ type Options struct {
 // check passed. Check never modifies anything — demotion is the caller's
 // move.
 func Check(name, before, after string, opts Options) []Warning {
+	warns, _ := CheckTrees(name, before, after, nil, opts)
+	return warns
+}
+
+// CheckTrees is Check for a caller that already holds before's parse tree
+// fb (nil: parse it here) and wants after's: it returns the warnings and
+// the tree it parsed for after, nil when after does not parse. The trees
+// are only read, so a campaign can hand fb on from the member that made it
+// and the after tree on to the next member.
+func CheckTrees(name, before, after string, fb *cast.File, opts Options) ([]Warning, *cast.File) {
 	popts := cparse.Options{CPlusPlus: opts.CPlusPlus, Std: opts.Std, CUDA: opts.CUDA}
 	fa, err := cparse.Parse(name, after, popts)
 	if err != nil {
@@ -90,18 +100,20 @@ func Check(name, before, after string, opts Options) []Warning {
 			Unsafe: true,
 			Message: fmt.Sprintf("transformed output no longer parses: %v",
 				err),
-		}}
+		}}, nil
 	}
-	fb, err := cparse.Parse(name, before, popts)
-	if err != nil {
-		// The transforming run parsed this input, so in practice this is
-		// unreachable; without a baseline there is nothing to compare.
-		return nil
+	if fb == nil {
+		if fb, err = cparse.Parse(name, before, popts); err != nil {
+			// The transforming run parsed this input, so in practice this
+			// is unreachable; without a baseline there is nothing to
+			// compare.
+			return nil, fa
+		}
 	}
 	var warns []Warning
 	warns = append(warns, checkFunctions(fb, fa)...)
 	warns = append(warns, checkPragmas(before, after)...)
-	return warns
+	return warns, fa
 }
 
 // fnInfo summarizes one function definition for the scope checks.

@@ -119,9 +119,6 @@ func (c *Campaign) processState(engines []*core.Engine, popts cparse.Options, tk
 	curIsInput := true
 	curHash := st.Hash
 	parsed := st.Parsed
-	// checked reports that parsed is the verifier's tree of a member's
-	// output, which stands in for the parse the next running member needs.
-	checked := false
 	var words map[string]bool
 	// changers counts the members that changed the text; hunks is the diff
 	// body a change's record carries, if any. With a single changer, that
@@ -229,7 +226,7 @@ func (c *Campaign) processState(engines []*core.Engine, popts cparse.Options, tk
 					changers++
 					hunks = rec.Diff
 					cur, curLoaded, curIsInput = rec.Output, true, false
-					curHash, words, parsed, checked = "", nil, nil, false
+					curHash, words, parsed = "", nil, nil
 				}
 				fr.Patches = append(fr.Patches, o)
 				continue
@@ -280,7 +277,9 @@ func (c *Campaign) processState(engines []*core.Engine, popts cparse.Options, tk
 			if curIsInput {
 				st.Parsed, st.ParsedInput = cf, true
 			}
-		} else if checked {
+		} else if parsed != st.Parsed {
+			// A tree of transformed text that this loop did not parse is
+			// the checker's, and stands in for the parse it saved.
 			fr.Parsed = true
 		}
 		if cp.fn != nil {
@@ -310,8 +309,7 @@ func (c *Campaign) processState(engines []*core.Engine, popts cparse.Options, tk
 				if o.Changed {
 					changers++
 					cur, curLoaded, curIsInput = next, true, false
-					curHash, words = "", nil
-					parsed, checked = nextTree, nextTree != nil
+					curHash, words, parsed = "", nil, nextTree
 				}
 				fr.Patches = append(fr.Patches, o)
 				continue
@@ -342,8 +340,7 @@ func (c *Campaign) processState(engines []*core.Engine, popts cparse.Options, tk
 		if o.Changed {
 			changers++
 			cur, curLoaded, curIsInput = out, true, false
-			curHash, words = "", nil
-			parsed, checked = outTree, outTree != nil
+			curHash, words, parsed = "", nil, outTree
 		}
 		fr.Patches = append(fr.Patches, o)
 	}

@@ -6,8 +6,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/cfg"
-	"repro/internal/cparse"
+	"repro/internal/obs"
 	"repro/internal/smpl"
 )
 
@@ -189,11 +188,11 @@ func TestAdjacentDotsRejected(t *testing.T) {
 	}
 }
 
-// BenchmarkCFGCache quantifies hoisting cfg.Build out of the per-match
-// path: one match-dense function, checked with the legacy sequence matcher
-// plus CTL verification (one graph per function per file, cached on
-// fileState) against the per-match rebuild the verifier used to do.
-func BenchmarkCFGCache(b *testing.B) {
+// TestCFGCacheOneBuildPerFunction pins the per-parse graph cache: on one
+// match-dense function, the sequence matcher plus CTL verification
+// (--seq-dots --use-ctl) verifies every match against a single graph,
+// built once per function per parse rather than once per match.
+func TestCFGCacheOneBuildPerFunction(t *testing.T) {
 	const matches = 60
 	var sb strings.Builder
 	sb.WriteString("void dense(int x) {\n")
@@ -201,45 +200,23 @@ func BenchmarkCFGCache(b *testing.B) {
 		fmt.Fprintf(&sb, "\tlock();\n\twork(%d);\n\tunlock();\n", i)
 	}
 	sb.WriteString("}\n")
-	src := sb.String()
-	patchText := "@r@\n@@\nlock();\n... when != forbidden()\nunlock();\n"
-	p, err := smpl.ParsePatch("b.cocci", patchText)
+	tr := obs.New()
+	eng := New(mustPatch(t, "@r@\n@@\nlock();\n... when != forbidden()\nunlock();\n"), Options{SeqDots: true, UseCTL: true})
+	eng.SetTrace(tr.Track("engine"))
+	res, err := eng.Run([]SourceFile{{Name: "d.c", Src: sb.String()}})
 	if err != nil {
-		b.Fatal(err)
+		t.Fatal(err)
 	}
-
-	b.Run("cached", func(b *testing.B) {
-		opts := Options{SeqDots: true, UseCTL: true}
-		b.SetBytes(int64(len(src)))
-		for i := 0; i < b.N; i++ {
-			eng := New(p, opts)
-			res, err := eng.Run([]SourceFile{{Name: "d.c", Src: src}})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if res.MatchCount["r"] != matches {
-				b.Fatalf("matches=%d want %d", res.MatchCount["r"], matches)
-			}
+	if got := res.MatchCount["r"]; got != matches {
+		t.Fatalf("matches=%d want %d", got, matches)
+	}
+	builds := 0
+	for _, st := range tr.Profile().Stages {
+		if st.Stage == obs.StageCFG {
+			builds = st.Count
 		}
-	})
-	b.Run("rebuild-per-match", func(b *testing.B) {
-		// What verifyCTL cost before the fileState cache: one cfg.Build per
-		// match on top of the cached run's work.
-		f, err := cparse.Parse("d.c", src, cparse.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		fd := f.Funcs()[0]
-		opts := Options{SeqDots: true, UseCTL: true}
-		b.SetBytes(int64(len(src)))
-		for i := 0; i < b.N; i++ {
-			eng := New(p, opts)
-			if _, err := eng.Run([]SourceFile{{Name: "d.c", Src: src}}); err != nil {
-				b.Fatal(err)
-			}
-			for m := 1; m < matches; m++ { // the cached run already built one
-				cfg.Build(fd)
-			}
-		}
-	})
+	}
+	if builds != 1 {
+		t.Errorf("cfg spans=%d want 1 (one graph per function per parse)", builds)
+	}
 }

@@ -11,7 +11,6 @@ package core
 
 import (
 	"fmt"
-	"regexp"
 	"sort"
 	"strings"
 
@@ -171,7 +170,8 @@ type fileState struct {
 	// parse. Both the CFG dots engine and the CTL verifier read through
 	// cfg(); a refresh invalidates the cache with the tree. Before this
 	// cache the CTL verifier rebuilt the graph per match — O(matches ×
-	// function size) on match-dense files (BenchmarkCFGCache).
+	// function size) on match-dense files; TestCFGCacheOneBuildPerFunction
+	// pins one build per function per parse.
 	cfgs map[*cast.FuncDef]*cfg.Graph
 	// seg caches the file's function segmentation for finding identity;
 	// built on the first check-rule match, invalidated with the parse.
@@ -683,25 +683,32 @@ func envKey(env match.Env) string {
 // substitute replaces metavariable references in plus-line text with their
 // bound values in a single pass, so substituted values are never themselves
 // rewritten (e.g. an expression-list value containing variable names that
-// collide with other metavariables).
+// collide with other metavariables). A reference is a maximal run of
+// identifier characters naming a bound metavariable, so names inside longer
+// identifiers are left alone and qualified (inherited "rule.name") bindings
+// never match. Text with no reference is returned as is, without allocating.
 func substitute(text string, env match.Env) string {
-	names := make([]string, 0, len(env))
-	for n := range env {
-		if strings.Contains(n, ".") {
+	var sb strings.Builder
+	done := 0 // text[:done] is already in sb
+	for i := 0; i < len(text); {
+		if !index.IdentByte(text[i]) {
+			i++
 			continue
 		}
-		names = append(names, n)
+		j := i + 1
+		for j < len(text) && index.IdentByte(text[j]) {
+			j++
+		}
+		if b, ok := env[text[i:j]]; ok {
+			sb.WriteString(text[done:i])
+			sb.WriteString(b.Text)
+			done = j
+		}
+		i = j
 	}
-	if len(names) == 0 {
+	if done == 0 {
 		return text
 	}
-	sort.Slice(names, func(i, j int) bool { return len(names[i]) > len(names[j]) })
-	quoted := make([]string, len(names))
-	for i, n := range names {
-		quoted[i] = regexp.QuoteMeta(n)
-	}
-	re := regexp.MustCompile(`\b(` + strings.Join(quoted, "|") + `)\b`)
-	return re.ReplaceAllStringFunc(text, func(name string) string {
-		return env[name].Text
-	})
+	sb.WriteString(text[done:])
+	return sb.String()
 }

@@ -106,3 +106,19 @@ func TestReplayableRefactoring(t *testing.T) {
 		t.Fatalf("replay on evolved code:\n%s", r2.Outputs["a.c"])
 	}
 }
+
+// Text that names no bound metavariable comes back as is: substitute runs
+// once per plus line per match, so the common case must not allocate.
+func TestSubstituteNoReferenceAllocatesNothing(t *testing.T) {
+	env := match.Env{
+		"E":   match.NewValueBinding(cast.MetaExprKind, "x"),
+		"r.E": match.NewValueBinding(cast.MetaExprKind, "y"),
+	}
+	text := "prepare_v2(E_old, r.x, 42);"
+	if got := substitute(text, env); got != text {
+		t.Fatalf("got %q want the text unchanged", got)
+	}
+	if n := testing.AllocsPerRun(100, func() { substitute(text, env) }); n != 0 {
+		t.Errorf("substitute allocates %.0f times on text with no reference; want 0", n)
+	}
+}

@@ -20,6 +20,10 @@ func init() {
 	identByte['_'] = true
 }
 
+// IdentByte reports whether b can appear inside a C identifier,
+// [A-Za-z0-9_].
+func IdentByte(b byte) bool { return identByte[b] }
+
 // ContainsWord reports whether src contains w as a complete identifier-like
 // word: an occurrence whose neighbours on both sides are not identifier
 // bytes. It never lexes or parses — just substring search plus two boundary

@@ -1,6 +1,8 @@
 package match
 
 import (
+	"slices"
+
 	"repro/internal/cast"
 	"repro/internal/cfg"
 	"repro/internal/ctl"
@@ -171,14 +173,23 @@ func (p *pathCtx) matchElems(elems []cast.Stmt, i int, entry []int) bool {
 			return p.matchElems(elems, i+1, nil)
 		}
 		next := elems[i+1]
-		return p.matchGap(d, entry, func(cand int, skipped []int) bool {
+		return p.matchGap(d, entry, func(cand int, skipped func() []int) bool {
 			ast, ok := nodeStmt(p.g.Nodes[cand])
 			if !ok {
 				return false
 			}
 			na, nc := c.save()
-			p.recordGap(d, skipped)
-			if c.stmt(next, ast) && p.matchElems(elems, i+2, p.frontier(cand)) {
+			if !c.stmt(next, ast) {
+				c.restore(na, nc)
+				return false
+			}
+			// The gap's pairs precede the anchor's in Corr. They are only
+			// worth building once the anchor matched, so record them now and
+			// rotate them into place.
+			mid := len(c.corr)
+			p.recordGap(d, skipped())
+			rotate(c.corr[nc:], mid-nc)
+			if p.matchElems(elems, i+2, p.frontier(cand)) {
 				return true
 			}
 			c.restore(na, nc)
@@ -204,12 +215,12 @@ func (p *pathCtx) matchElems(elems []cast.Stmt, i int, entry []int) bool {
 // matchGap explores the paths a dots segment may take from the entry
 // nodes, in breadth-first (shortest-skip-first) order. Every discovered
 // content node is offered to `try` as a candidate position for the next
-// anchor, with the content nodes skipped along its discovery path; the
-// search then continues through the node only if the dots' constraints
-// allow traversing it. Under `when strict`/`when forall` a candidate is
-// only offered when the CTL check proves every path from the gap's entry
-// reaches it through allowed nodes.
-func (p *pathCtx) matchGap(d *cast.Dots, entry []int, try func(cand int, skipped []int) bool) bool {
+// anchor, with a function returning the content nodes skipped along its
+// discovery path (built only when asked); the search then continues through
+// the node only if the dots' constraints allow traversing it. Under `when
+// strict`/`when forall` a candidate is only offered when the CTL check
+// proves every path from the gap's entry reaches it through allowed nodes.
+func (p *pathCtx) matchGap(d *cast.Dots, entry []int, try func(cand int, skipped func() []int) bool) bool {
 	type gapNode struct{ id, parent int }
 	visited := make([]bool, len(p.g.Nodes))
 	var order []gapNode
@@ -222,23 +233,25 @@ func (p *pathCtx) matchGap(d *cast.Dots, entry []int, try func(cand int, skipped
 	for _, e := range entry {
 		push(e, -1)
 	}
+	var qi int
+	skipped := func() []int {
+		var out []int
+		for pi := order[qi].parent; pi >= 0; pi = order[pi].parent {
+			out = append(out, order[pi].id)
+		}
+		slices.Reverse(out)
+		return out
+	}
 	strict := d.WhenStrict || d.WhenForall
-	for qi := 0; qi < len(order); qi++ {
-		nd := order[qi]
-		var skipped []int
-		for pi := nd.parent; pi >= 0; pi = order[pi].parent {
-			skipped = append(skipped, order[pi].id)
-		}
-		for l, r := 0, len(skipped)-1; l < r; l, r = l+1, r-1 {
-			skipped[l], skipped[r] = skipped[r], skipped[l]
-		}
-		if !strict || p.allPathsReach(d, entry, nd.id) {
-			if try(nd.id, skipped) {
+	for ; qi < len(order); qi++ {
+		id := order[qi].id
+		if !strict || p.allPathsReach(d, entry, id) {
+			if try(id, skipped) {
 				return true
 			}
 		}
-		if p.nodeAllowed(d, p.g.Nodes[nd.id]) {
-			for _, s := range p.contentSuccs(nd.id) {
+		if p.nodeAllowed(d, p.g.Nodes[id]) {
+			for _, s := range p.contentSuccs(id) {
 				push(s, qi)
 			}
 		}
@@ -255,31 +268,13 @@ func (p *pathCtx) nodeAllowed(d *cast.Dots, n *cfg.Node) bool {
 	if !content(n) || d.WhenAny {
 		return true
 	}
-	roots := n.ProbeNodes()
-	for _, forbidden := range d.WhenNot {
-		for _, root := range roots {
-			for _, sub := range cast.Exprs(root) {
-				probe := &ctx{m: p.c.m, env: p.c.env.Clone()}
-				if probe.expr(forbidden, sub) {
-					return false
-				}
-			}
+	var subs []cast.Expr
+	if len(d.WhenNot) > 0 {
+		for _, root := range n.ProbeNodes() {
+			subs = append(subs, cast.Exprs(root)...)
 		}
 	}
-	if len(d.WhenOnly) > 0 {
-		es, ok := n.AST.(*cast.ExprStmt)
-		if !ok {
-			return false
-		}
-		for _, only := range d.WhenOnly {
-			probe := &ctx{m: p.c.m, env: p.c.env.Clone()}
-			if probe.expr(only, es.X) {
-				return true
-			}
-		}
-		return false
-	}
-	return true
+	return p.c.whenAllows(d, subs, n.AST)
 }
 
 // allPathsReach decides the `when strict`/`when forall` obligation with
@@ -421,4 +416,12 @@ func (p *pathCtx) frontier(id int) []int {
 		}
 	}
 	return out
+}
+
+// rotate moves the first k elements of s to its end, keeping both runs in
+// order, without allocating.
+func rotate(s []Pair, k int) {
+	slices.Reverse(s[:k])
+	slices.Reverse(s[k:])
+	slices.Reverse(s)
 }

@@ -160,6 +160,45 @@ func (c *ctx) restore(na, nc int) {
 	c.corr = c.corr[:nc]
 }
 
+// probe reports whether pattern p matches code x under the current
+// bindings, then rolls back whatever the attempt bound or recorded, so a
+// probe leaves the match as it found it whether it succeeds or fails
+// partway. It is exact because bindValue is the only writer of env and logs
+// every key it adds.
+func (c *ctx) probe(p, x cast.Expr) bool {
+	na, nc := c.save()
+	ok := c.expr(p, x)
+	c.restore(na, nc)
+	return ok
+}
+
+// whenAllows checks a dots segment's `when !=` and `when ==` constraints
+// against one skipped node: no forbidden pattern may match any of subs (the
+// node's subexpressions, collected once by the caller), and under `when ==`
+// the node must be an expression statement one permitted pattern matches.
+func (c *ctx) whenAllows(d *cast.Dots, subs []cast.Expr, n cast.Node) bool {
+	for _, sub := range subs {
+		for _, forbidden := range d.WhenNot {
+			if c.probe(forbidden, sub) {
+				return false
+			}
+		}
+	}
+	if len(d.WhenOnly) == 0 {
+		return true
+	}
+	es, ok := n.(*cast.ExprStmt)
+	if !ok {
+		return false
+	}
+	for _, only := range d.WhenOnly {
+		if c.probe(only, es.X) {
+			return true
+		}
+	}
+	return false
+}
+
 func (c *ctx) pair(p cast.Node, first, last int) {
 	pf, pl := p.Span()
 	c.corr = append(c.corr, Pair{PF: pf, PL: pl, CF: first, CL: last})

@@ -489,28 +489,11 @@ func (c *ctx) dotsAllows(d *cast.Dots, skipped cast.Stmt) bool {
 	if d.WhenAny {
 		return true
 	}
-	for _, forbidden := range d.WhenNot {
-		for _, sub := range cast.Exprs(skipped) {
-			probe := &ctx{m: c.m, env: c.env.Clone()}
-			if probe.expr(forbidden, sub) {
-				return false
-			}
-		}
+	var subs []cast.Expr
+	if len(d.WhenNot) > 0 {
+		subs = cast.Exprs(skipped)
 	}
-	if len(d.WhenOnly) > 0 {
-		es, ok := skipped.(*cast.ExprStmt)
-		if !ok {
-			return false
-		}
-		for _, only := range d.WhenOnly {
-			probe := &ctx{m: c.m, env: c.env.Clone()}
-			if probe.expr(only, es.X) {
-				return true
-			}
-		}
-		return false
-	}
-	return true
+	return c.whenAllows(d, subs, skipped)
 }
 
 func (c *ctx) recordStmtGap(p cast.Node, items []cast.Stmt, k int) {

@@ -124,45 +124,6 @@ func BenchmarkHipifyASTvsText(b *testing.B) {
 	})
 }
 
-// S4: dots matching backends — the path-sensitive CFG engine (default,
-// one cached graph per function) vs the legacy syntactic sequence matcher,
-// bare and with its per-match CTL post-verification.
-func BenchmarkDotsBackend(b *testing.B) {
-	patch := `@r@
-@@
-lock();
-... when != forbidden()
-unlock();
-`
-	var sb strings.Builder
-	for f := 0; f < 24; f++ {
-		fmt.Fprintf(&sb, "void crit_%d(int x){\n\tlock();\n\twork_%d(x);\n\tif (x) other(x);\n\tunlock();\n}\n", f, f)
-	}
-	src := sb.String()
-	for _, mode := range []struct {
-		name string
-		opts Options
-	}{
-		{"cfg", Options{}},
-		{"sequence", Options{SeqDots: true}},
-		{"sequence+ctl", Options{SeqDots: true, UseCTL: true}},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			p, err := ParsePatch("dots.cocci", patch)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.SetBytes(int64(len(src)))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := NewApplier(p, mode.opts).Apply(File{Name: "c.c", Src: src}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // S5: parser throughput on each workload shape.
 func BenchmarkParserThroughput(b *testing.B) {
 	for _, shape := range []string{"openmp", "cuda", "aos", "mixed"} {

@@ -51,8 +51,6 @@ func main() {
 	spFile := flag.String("sp-file", "", "semantic patch file (.cocci); may also be given as positional arguments")
 	cxx := flag.Int("cxx", 0, "enable C++ mode with the given standard (11, 17, 23); 0 = C")
 	cuda := flag.Bool("cuda", false, "enable CUDA <<< >>> kernel launches")
-	useCTL := flag.Bool("use-ctl", false, "verify dots constraints with the CTL/CFG backend (legacy sequence matcher only)")
-	seqDots := flag.Bool("seq-dots", false, "match statement dots with the legacy syntactic sequence matcher instead of the CFG path engine")
 	workers := flag.Int("j", runtime.GOMAXPROCS(0), "worker-pool size per request")
 	noPrefilter := flag.Bool("no-prefilter", false, "parse every file, even those a patch provably cannot touch")
 	noFnCache := flag.Bool("no-fn-cache", false, "disable function-granular matching and caching; eligible patches match whole files instead of per-function segments")
@@ -93,7 +91,7 @@ func main() {
 		patches[i] = p
 	}
 	opts := sempatch.Options{
-		CPlusPlus: *cxx > 0, Std: *cxx, CUDA: *cuda, UseCTL: *useCTL, SeqDots: *seqDots,
+		CPlusPlus: *cxx > 0, Std: *cxx, CUDA: *cuda,
 		Defines: defines, Workers: *workers, NoPrefilter: *noPrefilter, NoFuncCache: *noFnCache,
 		Verify: *verify,
 	}

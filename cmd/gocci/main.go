@@ -3,8 +3,7 @@
 //
 // Usage:
 //
-//	gocci --sp-file patch.cocci [-cxx STD] [--cuda] [--seq-dots] [--use-ctl]
-//	      [--in-place] file.c [file2.c ...]
+//	gocci --sp-file patch.cocci [-cxx STD] [--cuda] [--in-place] file.c [file2.c ...]
 //	gocci -j 8 -r --stats [--cache-dir DIR] path/to/tree patch.cocci [more.cocci ...]
 //
 // With an explicit file list, one engine processes all files together and
@@ -47,8 +46,6 @@ func main() {
 	spFile := flag.String("sp-file", "", "semantic patch file (.cocci); may also be given as a positional argument")
 	cxx := flag.Int("cxx", 0, "enable C++ mode with the given standard (11, 17, 23); 0 = C")
 	cuda := flag.Bool("cuda", false, "enable CUDA <<< >>> kernel launches")
-	useCTL := flag.Bool("use-ctl", false, "verify dots constraints with the CTL/CFG backend (legacy sequence matcher only)")
-	seqDots := flag.Bool("seq-dots", false, "match statement dots with the legacy syntactic sequence matcher instead of the CFG path engine")
 	inPlace := flag.Bool("in-place", false, "rewrite files instead of printing diffs")
 	quiet := flag.Bool("quiet", false, "suppress diffs; only report matched rules")
 	recurse := flag.Bool("r", false, "treat arguments as directories; apply to all C/C++ sources below them")
@@ -146,7 +143,7 @@ func main() {
 		*verify = false
 	}
 	opts := sempatch.Options{
-		CPlusPlus: *cxx > 0, Std: *cxx, CUDA: *cuda, UseCTL: *useCTL, SeqDots: *seqDots,
+		CPlusPlus: *cxx > 0, Std: *cxx, CUDA: *cuda,
 		Defines: defines, Workers: *workers, NoPrefilter: *noPrefilter,
 		CacheDir: *cacheDir, NoFuncCache: *noFnCache, Verify: *verify,
 	}

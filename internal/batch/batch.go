@@ -95,8 +95,8 @@ func fingerprint(o core.Options) string {
 	}
 	defines := append([]string(nil), o.Defines...)
 	sort.Strings(defines)
-	return fmt.Sprintf("cpp=%v,std=%d,cuda=%v,ctl=%v,seqdots=%v,maxenvs=%d,maxmatch=%d,D=%s",
-		o.CPlusPlus, o.Std, o.CUDA, o.UseCTL, o.SeqDots, maxEnvs, o.MaxMatchesPerRule,
+	return fmt.Sprintf("cpp=%v,std=%d,cuda=%v,maxenvs=%d,maxmatch=%d,D=%s",
+		o.CPlusPlus, o.Std, o.CUDA, maxEnvs, o.MaxMatchesPerRule,
 		strings.Join(defines, ";"))
 }
 

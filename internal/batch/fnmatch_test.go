@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/core"
+	"repro/internal/match"
 	"repro/internal/smpl"
 )
 
@@ -30,6 +31,25 @@ expression E;
 ...
 - commit(E);
 + commit_v2(E);
+`
+
+// fnDisjDotsPatch follows the dots with a two-statement disjunction branch,
+// a shape the CFG engine does not take: matching falls back to the
+// sequence matcher, still function-local.
+const fnDisjDotsPatch = `@r@
+expression E;
+@@
+- prepare(E);
++ prepare_v2(E);
+...
+(
+- stage(E);
+- commit(E);
++ commit_v2(E);
+|
+- commit(E);
++ commit_v2(E);
+)
 `
 
 // fnBuildFile fabricates one file with a header gap, the given function
@@ -80,8 +100,8 @@ func compareResults(t *testing.T, label string, got, want []CampaignFileResult) 
 }
 
 // TestFunctionCacheParity is the pipeline's headline guarantee: with the
-// function cache cold, warm, or disabled — and under either dots engine —
-// outputs, diffs, and match counts are byte-identical. The corpus mixes
+// function cache cold, warm, or disabled — and under either dots engine, the
+// CFG engine or the sequence fallback a pattern's shape selects — outputs, diffs, and match counts are byte-identical. The corpus mixes
 // multi-function files (matching and not), files without functions, an empty
 // file, and a misaligned file the pipeline must refuse.
 func TestFunctionCacheParity(t *testing.T) {
@@ -94,14 +114,15 @@ func TestFunctionCacheParity(t *testing.T) {
 	}{
 		{"rename", renamePatch, core.Options{},
 			"\told_api(x, %d);\n", "\tother_api(x, %d);\n"},
-		{"rename-seqdots", renamePatch, core.Options{SeqDots: true},
-			"\told_api(x, %d);\n", "\tother_api(x, %d);\n"},
 		{"dots-cfg", fnDotsPatch, core.Options{},
 			"\tprepare(x);\n\twork(x, %d);\n\tcommit(x);\n",
 			"\twork(x, %d);\n\tcommit(x);\n"},
-		{"dots-seq", fnDotsPatch, core.Options{SeqDots: true},
-			"\tprepare(x);\n\twork(x, %d);\n\tcommit(x);\n",
+		{"dots-seq", fnDisjDotsPatch, core.Options{},
+			"\tprepare(x);\n\twork(x, %d);\n\tstage(x);\n\tcommit(x);\n",
 			"\twork(x, %d);\n\tcommit(x);\n"},
+	}
+	if match.CFGEligible(parsePatch(t, fnDisjDotsPatch).Rules[0].Pattern, nil) {
+		t.Fatal("dots-seq must exercise the sequence-matcher fallback")
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

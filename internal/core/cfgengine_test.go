@@ -33,11 +33,11 @@ expression E;
 	commit(v);
 }
 `
-	res, out := run(t, patch, src, Options{SeqDots: true})
+	res, _ := runSeq(t, patch, src)
 	if res.Matched["r"] {
 		t.Fatal("sequence matcher must not reach across branch arms")
 	}
-	res, out = run(t, patch, src, Options{})
+	res, out := run(t, patch, src, Options{})
 	if !res.Matched["r"] || res.MatchCount["r"] != 1 {
 		t.Fatalf("CFG engine: matched=%v count=%d want 1 match", res.Matched["r"], res.MatchCount["r"])
 	}
@@ -57,6 +57,50 @@ expression E;
 	if res.Matched["r"] {
 		t.Error("giveup() on the traversed path must veto the match")
 	}
+}
+
+// Path sensitivity: a forbidden call inside only one arm of an if still
+// leaves a clean path. The CFG engine matches and transforms along the
+// touch()-free else arm; the sequence matcher rejects, because the skipped
+// if-statement's subtree contains the forbidden call.
+func TestCFGEngineMatchesAlongCleanArm(t *testing.T) {
+	patch := `@r@
+@@
+- lock();
+... when != touch()
+- unlock();
++ scoped_guard();
+`
+	src := `void f(int x){
+	lock();
+	if (x) { touch(); }
+	unlock();
+}
+`
+	res, out := run(t, patch, src, Options{})
+	if !res.Matched["r"] {
+		t.Error("CFG dots engine should match along the touch()-free else path")
+	}
+	if !strings.Contains(out, "scoped_guard();") || strings.Contains(out, "unlock();") {
+		t.Errorf("transform not applied along the clean path:\n%s", out)
+	}
+	res, _ = runSeq(t, patch, src)
+	if res.Matched["r"] {
+		t.Error("sequence matcher should reject: skipped if-statement contains touch()")
+	}
+}
+
+// runSeq is run with every pattern forced onto the sequence matcher, the
+// reference the CFG engine is compared against.
+func runSeq(t *testing.T, patchText, src string) (*Result, string) {
+	t.Helper()
+	eng := New(mustPatch(t, patchText), Options{})
+	eng.seqOnly = true
+	res, err := eng.Run([]SourceFile{{Name: "t.c", Src: src}})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	return res, res.Outputs["t.c"]
 }
 
 // straightCorpus generates flat function bodies (no branches, no loops):
@@ -96,7 +140,7 @@ func TestSeqCFGEngineOutputParity(t *testing.T) {
 		for seed := int64(0); seed < 12; seed++ {
 			src := straightCorpus(seed*31+int64(pi), 3)
 			_, cfgOut := run(t, patchText, src, Options{})
-			_, seqOut := run(t, patchText, src, Options{SeqDots: true})
+			_, seqOut := runSeq(t, patchText, src)
 			if cfgOut != seqOut {
 				t.Fatalf("patch %d seed %d: outputs differ\n--- cfg ---\n%s\n--- seq ---\n%s\n--- src ---\n%s",
 					pi, seed, cfgOut, seqOut, src)
@@ -135,38 +179,25 @@ func TestEngineWhenQuantifiers(t *testing.T) {
 
 // `when strict`/`when forall` must never silently degrade to existential
 // matching: patterns the CFG engine cannot take (statement-list
-// metavariables, --seq-dots) and nested quantified dots are run-time
-// errors, not weaker matches.
+// metavariables, multi-statement disjunction branches) and nested
+// quantified dots are run-time errors, not weaker matches.
 func TestWhenQuantifierNeverSilentlyDegrades(t *testing.T) {
-	parse := func(t *testing.T, text string) *smpl.Patch {
+	runErr := func(t *testing.T, patch string) error {
 		t.Helper()
-		p, err := smpl.ParsePatch("q.cocci", text)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-	runErr := func(t *testing.T, patch string, opts Options) error {
-		t.Helper()
-		eng := New(parse(t, patch), opts)
+		eng := New(mustPatch(t, patch), Options{})
 		_, err := eng.Run([]SourceFile{{Name: "q.c", Src: "void f(int x){ lock(); if (x) return; work(); unlock(); }"}})
 		return err
 	}
 	strictPatch := "@r@\n@@\nlock();\n... when strict\nunlock();\n"
-	fallbackPatch := "@r@\nstatement list S;\n@@\nlock();\n... when strict\nS\nunlock();\n"
-	nestedPatch := "@r@\nexpression C;\n@@\nif (C) { ... when forall\nunlock(); }\n"
-	if err := runErr(t, strictPatch, Options{}); err != nil {
+	if err := runErr(t, strictPatch); err != nil {
 		t.Errorf("top-level strict under the CFG engine must run: %v", err)
 	}
-	for name, tc := range map[string]struct {
-		patch string
-		opts  Options
-	}{
-		"seq-dots":           {strictPatch, Options{SeqDots: true}},
-		"stmt-list-fallback": {fallbackPatch, Options{}},
-		"nested":             {nestedPatch, Options{}},
+	for name, patch := range map[string]string{
+		"stmt-list-fallback": "@r@\nstatement list S;\n@@\nlock();\n... when strict\nS\nunlock();\n",
+		"disj-fallback":      "@r@\n@@\nlock();\n... when strict\n(\nwork();\nunlock();\n|\nunlock();\n)\n",
+		"nested":             "@r@\nexpression C;\n@@\nif (C) { ... when forall\nunlock(); }\n",
 	} {
-		err := runErr(t, tc.patch, tc.opts)
+		err := runErr(t, patch)
 		if err == nil || !strings.Contains(err.Error(), "requires the CFG dots engine") {
 			t.Errorf("%s: want quantifier error, got %v", name, err)
 		}
@@ -188,10 +219,9 @@ func TestAdjacentDotsRejected(t *testing.T) {
 	}
 }
 
-// TestCFGCacheOneBuildPerFunction pins the per-parse graph cache: on one
-// match-dense function, the sequence matcher plus CTL verification
-// (--seq-dots --use-ctl) verifies every match against a single graph,
-// built once per function per parse rather than once per match.
+// TestCFGCacheOneBuildPerFunction pins the per-parse graph cache: two dots
+// rules that match but do not edit each ask for the one function's graph,
+// which is built once per function per parse rather than once per request.
 func TestCFGCacheOneBuildPerFunction(t *testing.T) {
 	const matches = 60
 	var sb strings.Builder
@@ -201,14 +231,17 @@ func TestCFGCacheOneBuildPerFunction(t *testing.T) {
 	}
 	sb.WriteString("}\n")
 	tr := obs.New()
-	eng := New(mustPatch(t, "@r@\n@@\nlock();\n... when != forbidden()\nunlock();\n"), Options{SeqDots: true, UseCTL: true})
+	eng := New(mustPatch(t, "@r@\n@@\nlock();\n... when != forbidden()\nunlock();\n\n"+
+		"@s@\nexpression E;\n@@\nwork(E);\n...\nunlock();\n"), Options{})
 	eng.SetTrace(tr.Track("engine"))
 	res, err := eng.Run([]SourceFile{{Name: "d.c", Src: sb.String()}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.MatchCount["r"]; got != matches {
-		t.Fatalf("matches=%d want %d", got, matches)
+	for _, rule := range []string{"r", "s"} {
+		if got := res.MatchCount[rule]; got != matches {
+			t.Fatalf("rule %s: matches=%d want %d", rule, got, matches)
+		}
 	}
 	builds := 0
 	for _, st := range tr.Profile().Stages {

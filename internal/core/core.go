@@ -32,17 +32,6 @@ type Options struct {
 	CPlusPlus bool
 	Std       int // 11, 17, 23
 	CUDA      bool
-	// UseCTL enables control-flow (CTL) verification of dots constraints in
-	// addition to the syntactic check. It only affects patterns matched by
-	// the legacy sequence matcher (SeqDots, or patterns the path engine
-	// does not take): the CFG dots engine enforces path constraints itself.
-	UseCTL bool
-	// SeqDots selects the legacy syntactic sequence matcher for statement
-	// dots instead of the default path-sensitive CFG engine. On
-	// straight-line code the two produce identical results; the sequence
-	// matcher cannot match anchors sitting on different branch arms or
-	// across loop back-edges.
-	SeqDots bool
 	// MaxEnvs caps the environment set size (default 4096).
 	MaxEnvs int
 	// MaxMatchesPerRule caps matches per rule per file (default unlimited).
@@ -106,6 +95,11 @@ type Engine struct {
 	hosts    map[string]ScriptFunc
 	fresh    map[string]int
 	trace    *obs.Track
+	// seqOnly withholds the control-flow graphs from every matcher, so each
+	// pattern runs on the syntactic sequence matcher. It is a test seam:
+	// the sequence matcher is the reference the CFG engine's outputs are
+	// compared against.
+	seqOnly bool
 }
 
 // New creates an engine for a parsed patch.
@@ -227,6 +221,17 @@ func (st *fileState) cfg(fd *cast.FuncDef) *cfg.Graph {
 	sp.End()
 	st.cfgs[fd] = g
 	return g
+}
+
+// matcher returns a matcher for the pattern over the file's current parse.
+// The matcher picks the dots engine from the pattern alone; the graphs it
+// may ask for are built once per function per parse.
+func (e *Engine) matcher(st *fileState, pat *smpl.Pattern, metas *smpl.MetaTable) *match.Matcher {
+	m := &match.Matcher{Pat: pat, Metas: metas, Code: st.file, CFGs: st.cfg}
+	if e.seqOnly {
+		m.CFGs = nil
+	}
+	return m
 }
 
 func (e *Engine) parseOpts() cparse.Options {
@@ -447,17 +452,13 @@ func (e *Engine) runMatch(rule *smpl.Rule, envs []match.Env, states []*fileState
 	// Names this rule inherits: local -> qualified key.
 	inherits := cr.inherits
 
-	// Engine choice is a per-rule constant: the CFG path engine unless the
-	// caller opted out or the pattern shape forces the sequence fallback.
-	cfgPrimary := !e.opts.SeqDots && match.CFGEligible(rule.Pattern, metas)
 	// `when strict`/`when forall` are path quantifiers only the CFG engine
 	// can decide. Refuse to degrade them silently to existential matching:
-	// a quantified dots on a fallback path (or nested inside an anchor,
-	// where matching is syntactic even under the CFG engine) is an error,
-	// not a weaker match.
-	if top, nested := quantifiedDots(rule.Pattern); (top && !cfgPrimary) || nested {
+	// a quantified dots the pattern's engine cannot decide is an error, not
+	// a weaker match.
+	if !match.QuantifiersDecidable(rule.Pattern, metas) {
 		return nil, fmt.Errorf(
-			"rule %s: `when strict`/`when forall` requires the CFG dots engine, which cannot handle this pattern (quantified dots must be at the top level of a pattern without statement-list metavariables, compound anchors, or --seq-dots)",
+			"rule %s: `when strict`/`when forall` requires the CFG dots engine, which cannot handle this pattern (quantified dots must be at the top level of a pattern without statement-list metavariables, compound anchors, or multi-statement disjunction branches)",
 			rule.Name)
 	}
 
@@ -499,31 +500,14 @@ envLoop:
 
 		envMatched := false
 		for _, st := range live {
-			m := &match.Matcher{
-				Pat:        rule.Pattern,
-				Metas:      metas,
-				Code:       st.file,
-				Inherited:  inherited,
-				MaxMatches: e.opts.MaxMatchesPerRule,
-			}
-			if !e.opts.SeqDots {
-				m.CFGs = st.cfg
-			}
+			m := e.matcher(st, rule.Pattern, metas)
+			m.Inherited = inherited
+			m.MaxMatches = e.opts.MaxMatchesPerRule
 			for _, mt := range m.FindAll() {
-				// The CFG dots engine enforces path constraints while
-				// matching; re-verifying with the anchor-span heuristics of
-				// verifyCTL could wrongly reject its cross-branch and
-				// back-edge matches.
-				if e.opts.UseCTL && !cfgPrimary && !e.verifyCTL(st, rule, &mt) {
-					continue
-				}
 				// Clamp at the cap, not one past it, and stop before the
 				// match transforms anything: the old per-file break kept
 				// the outer loops collecting (and editing) across files
-				// and environments, silently overshooting the cap. The
-				// check sits after the CTL filter so a candidate that
-				// verification would reject anyway cannot raise a
-				// spurious truncation warning.
+				// and environments, silently overshooting the cap.
 				if len(out) >= e.opts.MaxEnvs {
 					res.EnvsTruncated = true
 					break envLoop

@@ -53,8 +53,9 @@ func FunctionLocalRule(c *Compiled) *smpl.Rule {
 //     at least one code token and lies inside one window.
 //   - no per-rule match cap (MaxMatchesPerRule), which counts across the
 //     whole file.
-//   - quantified dots (`when strict`/`when forall`) on a configuration the
-//     CFG engine cannot take must fail at file level, with runMatch's error.
+//   - quantified dots (`when strict`/`when forall`) the pattern's engine
+//     cannot decide (match.QuantifiersDecidable) must fail at file level,
+//     with runMatch's error.
 func FunctionLocal(c *Compiled, opts Options) bool {
 	if opts.MaxMatchesPerRule != 0 {
 		return false
@@ -105,11 +106,7 @@ func FunctionLocal(c *Compiled, opts Options) bool {
 			return false
 		}
 	}
-	cfgPrimary := !opts.SeqDots && match.CFGEligible(pat, cr.metas)
-	if top, nested := quantifiedDots(pat); (top && !cfgPrimary) || nested {
-		return false
-	}
-	return true
+	return match.QuantifiersDecidable(pat, cr.metas)
 }
 
 // SegmentJob identifies one segment of one file to match.
@@ -190,16 +187,8 @@ func (e *Engine) RunSegment(job SegmentJob) (*SegmentResult, error) {
 	}
 	if rule.Depends.Eval(matched) {
 		cr := e.compiled.rule(rule)
-		cfgPrimary := !e.opts.SeqDots && match.CFGEligible(rule.Pattern, cr.metas)
-		m := &match.Matcher{
-			Pat:   rule.Pattern,
-			Metas: cr.metas,
-			Code:  st.file,
-			Cands: job.Cands,
-		}
-		if !e.opts.SeqDots {
-			m.CFGs = st.cfg
-		}
+		m := e.matcher(st, rule.Pattern, cr.metas)
+		m.Cands = job.Cands
 		if job.Fn >= 0 {
 			m.Window = job.Segs.FuncWindow(job.Fn)
 		} else {
@@ -207,9 +196,6 @@ func (e *Engine) RunSegment(job SegmentJob) (*SegmentResult, error) {
 		}
 		isCheck := rule.IsCheck()
 		for _, mt := range m.FindAll() {
-			if e.opts.UseCTL && !cfgPrimary && !e.verifyCTL(st, rule, &mt) {
-				continue
-			}
 			if sr.Matches >= e.opts.MaxEnvs {
 				// Whole-file runs truncate here; per-segment runs cannot
 				// reproduce truncation order, so force the fallback.

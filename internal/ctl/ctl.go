@@ -264,14 +264,6 @@ func queueOf(set []bool) []int {
 	return q
 }
 
-// PathWithout reports whether a path exists from node `from` to a node
-// satisfying `to`, along which no intermediate node satisfies `avoid`.
-// This is E[!avoid U to] evaluated at `from`, the core of `when != S`.
-func PathWithout(g *cfg.Graph, from int, to, avoid func(*cfg.Node) bool) bool {
-	f := EU{L: Not{Pred{Name: "avoid", Fn: avoid}}, R: Pred{Name: "to", Fn: to}}
-	return Check(g, f).Holds(from)
-}
-
 // AllPathsReach reports whether every path from `from` eventually reaches a
 // node satisfying `to` (AF at from).
 func AllPathsReach(g *cfg.Graph, from int, to func(*cfg.Node) bool) bool {

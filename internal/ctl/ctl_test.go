@@ -120,25 +120,6 @@ func TestEXAndAX(t *testing.T) {
 	}
 }
 
-func TestPathWithout(t *testing.T) {
-	f, g := graphOf(t, "void f(int x){ start(); if (x) { skipme(); } end(); }")
-	startID := nodeWith(f, g, "start()")
-	stmtWith := func(f *cast.File, sub string) func(*cfg.Node) bool {
-		return func(n *cfg.Node) bool {
-			return n.Kind == cfg.Stmt && n.AST != nil && strings.Contains(f.Text(n.AST), sub)
-		}
-	}
-	if !PathWithout(g, startID, stmtWith(f, "end()"), stmtWith(f, "skipme()")) {
-		t.Error("a path avoiding skipme() exists via the else branch")
-	}
-	// Make skip unavoidable.
-	f2, g2 := graphOf(t, "void f(){ start(); skipme(); end(); }")
-	start2 := nodeWith(f2, g2, "start()")
-	if PathWithout(g2, start2, stmtWith(f2, "end()"), stmtWith(f2, "skipme()")) {
-		t.Error("no path can avoid skipme() in straight-line code")
-	}
-}
-
 func TestAllPathsReach(t *testing.T) {
 	f, g := graphOf(t, "void f(int x){ a(); if (x) return; b(); }")
 	aID := nodeWith(f, g, "a()")

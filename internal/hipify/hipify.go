@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/cast"
 	"repro/internal/cparse"
-	"repro/internal/ctoken"
 	"repro/internal/transform"
 )
 
@@ -163,14 +162,3 @@ func sortByLenDesc(s []string) {
 		}
 	}
 }
-
-// lexCount is a helper for benchmarks: token count of a source.
-func lexCount(src string) int {
-	f, err := ctoken.Lex("bench.cu", src, ctoken.Options{CUDAChevrons: true})
-	if err != nil {
-		return 0
-	}
-	return len(f.Tokens)
-}
-
-var _ = lexCount

@@ -60,6 +60,59 @@ func CFGEligible(pat *smpl.Pattern, metas *smpl.MetaTable) bool {
 	return hasDots
 }
 
+// QuantifiersDecidable reports whether the pattern's `when strict`/`when
+// forall` dots can be decided. They are path quantifiers only the CFG
+// engine decides, so they are allowed only at the top level of a
+// CFG-eligible pattern: on the sequence fallback, or nested inside an
+// anchor (where matching is syntactic even under the CFG engine), they
+// would silently degrade to existential matching.
+func QuantifiersDecidable(pat *smpl.Pattern, metas *smpl.MetaTable) bool {
+	top, nested := quantifiedDots(pat)
+	return !nested && (!top || CFGEligible(pat, metas))
+}
+
+// quantifiedDots reports where `when strict`/`when forall` dots appear in
+// the pattern: as top-level statement elements or nested anywhere else
+// (inside anchors, compounds, expressions).
+func quantifiedDots(p *smpl.Pattern) (topLevel, nested bool) {
+	if p == nil {
+		return false, false
+	}
+	top := map[*cast.Dots]bool{}
+	if p.Kind == smpl.StmtSeqPattern {
+		for _, s := range p.Stmts {
+			if d, ok := s.(*cast.Dots); ok {
+				top[d] = true
+			}
+		}
+	}
+	visit := func(n cast.Node) bool {
+		d, ok := n.(*cast.Dots)
+		if !ok || (!d.WhenStrict && !d.WhenForall) {
+			return true
+		}
+		if top[d] {
+			topLevel = true
+		} else {
+			nested = true
+		}
+		return true
+	}
+	switch p.Kind {
+	case smpl.ExprPattern:
+		cast.Walk(p.Expr, visit)
+	case smpl.StmtSeqPattern:
+		for _, s := range p.Stmts {
+			cast.Walk(s, visit)
+		}
+	case smpl.DeclPattern:
+		for _, d := range p.Decls {
+			cast.Walk(d, visit)
+		}
+	}
+	return topLevel, nested
+}
+
 // pathCtx carries one function's graph through a path-matching attempt.
 type pathCtx struct {
 	c *ctx

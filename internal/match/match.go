@@ -331,19 +331,6 @@ func (m *Matcher) newCtx() *ctx {
 	return &ctx{m: m, env: Env{}}
 }
 
-// ExprOccurs reports whether the pattern expression matches any
-// subexpression of root, with inherited bindings enforced. It is the probe
-// the engine's CTL verification uses for `when != e` node predicates.
-func (m *Matcher) ExprOccurs(pe cast.Expr, root cast.Node) bool {
-	for _, sub := range cast.Exprs(root) {
-		c := m.newCtx()
-		if c.expr(pe, sub) {
-			return true
-		}
-	}
-	return false
-}
-
 // FindAll returns every match of the pattern in the file.
 func (m *Matcher) FindAll() []Match {
 	var out []Match

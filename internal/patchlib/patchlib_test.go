@@ -3,6 +3,8 @@ package patchlib
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/smpl"
 )
 
 // TestAllExperiments runs every paper use case end to end and applies its
@@ -19,6 +21,16 @@ func TestAllExperiments(t *testing.T) {
 				t.Fatalf("%s: no rule matched\noutput:\n%s", e.ID, out)
 			}
 		})
+	}
+}
+
+// The experiments' patches must parse as standalone .cocci files through
+// the public entry point (no hidden coupling to engine setup).
+func TestAllPatchesParseStandalone(t *testing.T) {
+	for _, e := range Experiments() {
+		if _, err := smpl.ParsePatch(e.ID+".cocci", e.Patch); err != nil {
+			t.Errorf("%s: %v", e.ID, err)
+		}
 	}
 }
 

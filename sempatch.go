@@ -58,16 +58,6 @@ type Options struct {
 	Std int
 	// CUDA enables the <<< >>> kernel-launch tokens.
 	CUDA bool
-	// UseCTL additionally verifies dots constraints against the function's
-	// control-flow graph. Only meaningful for patterns matched by the
-	// legacy sequence matcher (see SeqDots): the default CFG dots engine
-	// is already path-sensitive.
-	UseCTL bool
-	// SeqDots selects the legacy syntactic sequence matcher for statement
-	// dots instead of the default path-sensitive CFG engine. The two agree
-	// on straight-line code; only the CFG engine matches patterns whose
-	// anchors sit on different branch arms or across loop back-edges.
-	SeqDots bool
 	// MaxEnvs caps the environment set flowing between rules (default 4096).
 	MaxEnvs int
 	// Defines enables virtual dependency names declared in the patch
@@ -137,7 +127,7 @@ func NewTracer() *Tracer { return obs.New() }
 func (o Options) internal() core.Options {
 	return core.Options{
 		CPlusPlus: o.CPlusPlus, Std: o.Std, CUDA: o.CUDA,
-		UseCTL: o.UseCTL, SeqDots: o.SeqDots, MaxEnvs: o.MaxEnvs, Defines: o.Defines,
+		MaxEnvs: o.MaxEnvs, Defines: o.Defines,
 	}
 }
 

@@ -20,8 +20,6 @@ import (
 
 	"repro/internal/aossoa"
 	"repro/internal/codegen"
-	"repro/internal/cparse"
-	"repro/internal/diff"
 	"repro/internal/hipify"
 	"repro/internal/instrument"
 	"repro/internal/patchlib"
@@ -124,22 +122,6 @@ func BenchmarkHipifyASTvsText(b *testing.B) {
 	})
 }
 
-// S5: parser throughput on each workload shape.
-func BenchmarkParserThroughput(b *testing.B) {
-	for _, shape := range []string{"openmp", "cuda", "aos", "mixed"} {
-		src := codegen.Shapes[shape](codegen.Config{Funcs: 64, StmtsPerFunc: 4, Seed: 4})
-		b.Run(shape, func(b *testing.B) {
-			opts := cparse.Options{CPlusPlus: true, CUDA: true}
-			b.SetBytes(int64(len(src)))
-			for i := 0; i < b.N; i++ {
-				if _, err := cparse.Parse("p.c", src, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // Patch-parsing cost: every experiment's .cocci text.
 func BenchmarkPatchParse(b *testing.B) {
 	exps := patchlib.Experiments()
@@ -149,21 +131,6 @@ func BenchmarkPatchParse(b *testing.B) {
 		if _, err := smpl.ParsePatch(e.ID, e.Patch); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// Unified-diff generation on a realistic transformation output.
-func BenchmarkDiff(b *testing.B) {
-	e, _ := patchlib.ByID("L1")
-	src := codegen.OpenMP(codegen.Config{Funcs: 32, StmtsPerFunc: 2, Seed: 5})
-	_, out, err := e.RunOn(src)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(src)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		diff.Unified("a", "b", src, out)
 	}
 }
 

@@ -43,6 +43,42 @@ func TestCLIGocciDiff(t *testing.T) {
 	}
 }
 
+// A CRLF file keeps its carriage returns on directive lines: a rename in
+// the body changes only the line it touches. The directive lexer used to
+// drop the '\r' before each newline it ended on, so every changed CRLF
+// file also rewrote its #include and #define lines.
+func TestCLIGocciCRLFDirectives(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	bin := buildTool(t, "gocci")
+	dir := t.TempDir()
+	patch := filepath.Join(dir, "rename.cocci")
+	src := filepath.Join(dir, "crlf.c")
+	if err := os.WriteFile(patch, []byte("@@\n@@\n- foo\n+ bar\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	text := "#include <a.h>\r\n#define N 4\r\nint f(void)\r\n{\r\n\treturn foo(N);\r\n}\r\n"
+	if err := os.WriteFile(src, []byte(text), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, err := exec.Command(bin, "--sp-file", patch, src).CombinedOutput()
+	if err != nil {
+		t.Fatalf("gocci: %v\n%s", err, out)
+	}
+	var changed []string
+	for _, line := range strings.SplitAfter(string(out), "\n") {
+		if (strings.HasPrefix(line, "-") || strings.HasPrefix(line, "+")) &&
+			!strings.HasPrefix(line, "---") && !strings.HasPrefix(line, "+++") {
+			changed = append(changed, line)
+		}
+	}
+	want := []string{"-\treturn foo(N);\r\n", "+\treturn bar(N);\r\n"}
+	if strings.Join(changed, "") != strings.Join(want, "") {
+		t.Errorf("changed lines = %q, want %q\n%s", changed, want, out)
+	}
+}
+
 func TestCLIGocciInPlace(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")

@@ -5,7 +5,9 @@ package sempatch
 //   - FuzzSmPLParse: the .cocci parser never panics, and every patch it
 //     accepts survives the renderer's parse→print→parse fixpoint.
 //   - FuzzCParse: the C/C++/CUDA parser never panics on arbitrary input,
-//     in any dialect.
+//     in any dialect, and every file it accepts keeps a lossless token
+//     stream: each token's text sits in the source at its offset, and the
+//     tokens with their derived whitespace render the source back.
 //   - FuzzSegmentSplice: function-granular segmentation is lossless — for
 //     every file it segments, splicing the raw pieces reproduces the input
 //     byte for byte (the invariant the incremental cache's correctness
@@ -61,7 +63,21 @@ func FuzzCParse(f *testing.F) {
 		if opts.CPlusPlus {
 			opts.Std = 23
 		}
-		_, _ = cparse.Parse("fuzz.c", src, opts) // must not panic
+		file, err := cparse.Parse("fuzz.c", src, opts)
+		if err != nil {
+			return
+		}
+		toks := file.Toks
+		for i, tok := range toks.Tokens {
+			off := int(tok.Pos.Offset)
+			if off+len(tok.Text) > len(src) || src[off:off+len(tok.Text)] != tok.Text {
+				t.Fatalf("token %d %q is not the source at offset %d", i, tok.Text, off)
+			}
+		}
+		if got := toks.Render(); got != src {
+			t.Fatalf("token stream does not render the source:\ngot:\n%q\nwant:\n%q\nfirst diff at %d",
+				got, src, firstDiff(got, src))
+		}
 	})
 }
 

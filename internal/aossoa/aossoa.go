@@ -183,8 +183,8 @@ func replaceDecls(src string, l *Layout) (string, error) {
 		case *cast.OpaqueDecl:
 			if strings.HasPrefix(strings.TrimSpace(x.Raw), "struct "+l.StructName) && strings.Contains(x.Raw, "{") {
 				first, last := x.Span()
-				start := f.Toks.Tokens[first].Pos.Offset
-				end := endOffset(f, last)
+				start := int(f.Toks.Tokens[first].Pos.Offset)
+				end := f.Toks.Tokens[last].End()
 				sb.WriteString(src[lastEnd:start])
 				sb.WriteString(l.SoADecl())
 				lastEnd = end
@@ -193,8 +193,8 @@ func replaceDecls(src string, l *Layout) (string, error) {
 		case *cast.VarDecl:
 			if x.Type.Base == "struct "+l.StructName {
 				first, last := x.Span()
-				start := f.Toks.Tokens[first].Pos.Offset
-				end := endOffset(f, last)
+				start := int(f.Toks.Tokens[first].Pos.Offset)
+				end := f.Toks.Tokens[last].End()
 				sb.WriteString(src[lastEnd:start])
 				// the SoA instance is declared with the struct; drop this
 				lastEnd = end
@@ -206,10 +206,4 @@ func replaceDecls(src string, l *Layout) (string, error) {
 	}
 	sb.WriteString(src[lastEnd:])
 	return sb.String(), nil
-}
-
-// endOffset computes the byte offset just past token `last`.
-func endOffset(f *cast.File, last int) int {
-	t := f.Toks.Tokens[last]
-	return t.Pos.Offset + len(t.Text)
 }

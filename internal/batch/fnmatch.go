@@ -146,7 +146,7 @@ func loadFnFindings(fs []cache.FnFinding, name string, segs *cast.Segmentation, 
 			anchor = 0
 		}
 		pos := toks[anchor].Pos
-		af.Line, af.Col = pos.Line, pos.Col
+		af.Line, af.Col = int(pos.Line), int(pos.Col)
 		out[k] = af
 	}
 	return out

@@ -70,7 +70,7 @@ func SegmentFile(f *File) *Segmentation {
 		if first < 0 || last < first || last >= len(toks) {
 			return nil // defensive: a span outside the token file
 		}
-		ws := toks[first].WS
+		ws := f.Toks.WS(first)
 		lead := ws
 		if nl := strings.LastIndexByte(ws, '\n'); nl >= 0 {
 			lead = ws[nl+1:]
@@ -91,7 +91,7 @@ func SegmentFile(f *File) *Segmentation {
 		if first > 0 && !strings.Contains(ws, "\n") {
 			s.aligned = false
 		}
-		if next := last + 1; next < len(toks)-1 && !strings.Contains(toks[next].WS, "\n") {
+		if next := last + 1; next < len(toks)-1 && !strings.Contains(f.Toks.WS(next), "\n") {
 			s.aligned = false
 		}
 	}
@@ -131,21 +131,23 @@ func (s *Segmentation) GapHead(i int) string {
 	if i >= len(s.Funcs) {
 		return ""
 	}
-	ws := s.File.Toks.Tokens[s.Funcs[i].First].WS
+	ws := s.File.Toks.WS(s.Funcs[i].First)
 	return ws[:len(ws)-len(s.Funcs[i].Lead)]
 }
 
-// GapRaw returns gap i's exact byte contribution to the file.
+// GapRaw returns gap i's exact byte contribution to the file: the source
+// from the end of function i-1 (or the file's start) to function i's Lead
+// (or the file's end). It shares the source's bytes.
 func (s *Segmentation) GapRaw(i int) string {
-	a, b := s.GapBounds(i)
-	var sb strings.Builder
-	toks := s.File.Toks.Tokens
-	for j := a; j <= b; j++ {
-		sb.WriteString(toks[j].WS)
-		sb.WriteString(toks[j].Text)
+	toks := s.File.Toks
+	start, end := 0, len(toks.Src)
+	if i > 0 {
+		start = toks.Tokens[s.Funcs[i-1].Last].End()
 	}
-	sb.WriteString(s.GapHead(i))
-	return sb.String()
+	if i < len(s.Funcs) {
+		end = int(toks.Tokens[s.Funcs[i].First].Pos.Offset) - len(s.Funcs[i].Lead)
+	}
+	return toks.Src[start:end]
 }
 
 // ResidueIdentity is the content-hash input naming the residue — every gap,

@@ -9,13 +9,21 @@ import (
 )
 
 // Every generated shape must parse with our front end — that is the whole
-// point of the generator.
+// point of the generator — small and at the size the benchmark's parse
+// layer times, and its token stream must render the source back.
 func TestAllShapesParse(t *testing.T) {
-	for name, gen := range Shapes {
-		src := gen(Config{Funcs: 3, StmtsPerFunc: 3, Seed: 42})
-		opts := cparse.Options{CPlusPlus: true, CUDA: true, Std: 17}
-		if _, err := cparse.Parse(name+".c", src, opts); err != nil {
-			t.Errorf("shape %s does not parse: %v\n%s", name, err, src)
+	for _, cfg := range []Config{{Funcs: 3, StmtsPerFunc: 3, Seed: 42}, {Funcs: 64, StmtsPerFunc: 4, Seed: 4}} {
+		for name, gen := range Shapes {
+			src := gen(cfg)
+			opts := cparse.Options{CPlusPlus: true, CUDA: true, Std: 17}
+			f, err := cparse.Parse(name+".c", src, opts)
+			if err != nil {
+				t.Errorf("shape %s (%d funcs) does not parse: %v\n%s", name, cfg.Funcs, err, src)
+				continue
+			}
+			if f.Toks.Render() != src {
+				t.Errorf("shape %s (%d funcs): token stream does not render the source", name, cfg.Funcs)
+			}
 		}
 	}
 }

@@ -97,16 +97,15 @@ func tokenStartsLine(st *fileState, i int) bool {
 	if i <= 0 {
 		return true
 	}
-	return strings.Contains(st.file.Toks.Tokens[i].WS, "\n")
+	return strings.Contains(st.file.Toks.WS(i), "\n")
 }
 
 // tokenEndsLine reports whether code token i is the last on its source line.
 func tokenEndsLine(st *fileState, i int) bool {
-	toks := st.file.Toks.Tokens
-	if i >= len(toks)-1 {
+	if i >= len(st.file.Toks.Tokens)-1 {
 		return true
 	}
-	return strings.Contains(toks[i+1].WS, "\n")
+	return strings.Contains(st.file.Toks.WS(i+1), "\n")
 }
 
 // replacementAnchor returns the first minus pattern token on the given body
@@ -139,7 +138,7 @@ func lineTokens(pat *smpl.Pattern, line int) (int, int) {
 		if t.Kind == ctoken.EOF {
 			continue
 		}
-		if t.Pos.Line-1 == line {
+		if int(t.Pos.Line)-1 == line {
 			if first < 0 {
 				first = i
 			}

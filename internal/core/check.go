@@ -80,8 +80,8 @@ func makeFinding(rule *smpl.Rule, mt *match.Match, env match.Env, file *cast.Fil
 		Check:    id,
 		Severity: severity,
 		File:     file.Name,
-		Line:     pos.Line,
-		Col:      pos.Col,
+		Line:     int(pos.Line),
+		Col:      int(pos.Col),
 		Message:  msg,
 		Rule:     rule.Name,
 	}

@@ -256,7 +256,7 @@ func (e *Engine) RunSegment(job SegmentJob) (*SegmentResult, error) {
 		if st.ed.Empty() || b < a {
 			sr.Gaps[i] = raw
 		} else {
-			lead := job.File.Toks.Tokens[a].WS
+			lead := job.File.Toks.WS(a)
 			text, ambiguous := st.ed.ApplyRange(a, b, lead)
 			if ambiguous && i < n {
 				// The emptied tail line would merge into the next function's

@@ -2,6 +2,7 @@ package ctoken
 
 import (
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -28,14 +29,24 @@ func (e *LexError) Error() string {
 	return fmt.Sprintf("%s:%s: %s", e.File, e.Pos, e.Msg)
 }
 
-// Lex tokenizes src. The token stream always ends with an EOF token whose WS
-// field holds any trailing whitespace, so File.Render reproduces src exactly.
+// maxSrcLen is the longest source Lex accepts: every offset, line and
+// column is at most len(src)+1 and must fit Pos's int32 fields. Tests lower
+// it to exercise the guard without allocating gigabytes.
+var maxSrcLen = math.MaxInt32 - 1
+
+// Lex tokenizes src. The token stream always ends with an EOF token at
+// len(src), so File.Render reproduces src exactly.
 func Lex(name, src string, opts Options) (*File, error) {
+	if len(src) > maxSrcLen {
+		return nil, &LexError{File: name, Pos: Pos{Line: 1, Col: 1},
+			Msg: fmt.Sprintf("source is %d bytes; the lexer takes at most %d", len(src), maxSrcLen)}
+	}
 	lx := &lexer{name: name, src: src, opts: opts, line: 1, col: 1}
 	f := &File{Name: name, Src: src}
-	// C code averages a handful of bytes per token; sizing up front keeps
-	// append from copying the slice log(n) times.
-	f.Tokens = make([]Token, 0, len(src)/4+8)
+	// Size the slice once for 1.5 bytes per token. HPC C runs 1.8–3.3
+	// (arrays of structs are the densest), so append rarely regrows; denser
+	// code costs one regrowth, never a wrong result.
+	f.Tokens = make([]Token, 0, len(src)*2/3+8)
 	for {
 		tok, err := lx.next()
 		if err != nil {
@@ -61,7 +72,9 @@ func (lx *lexer) errf(pos Pos, format string, args ...any) error {
 	return &LexError{File: lx.name, Pos: pos, Msg: fmt.Sprintf(format, args...)}
 }
 
-func (lx *lexer) pos() Pos { return Pos{Offset: lx.off, Line: lx.line, Col: lx.col} }
+func (lx *lexer) pos() Pos {
+	return Pos{Offset: int32(lx.off), Line: int32(lx.line), Col: int32(lx.col)}
+}
 
 func (lx *lexer) peek() byte {
 	if lx.off < len(lx.src) {
@@ -172,7 +185,7 @@ func (lx *lexer) next() (Token, error) {
 	}
 	pos := lx.pos()
 	if lx.off >= len(lx.src) {
-		return Token{Kind: EOF, WS: ws, Pos: pos}, nil
+		return Token{Kind: EOF, Pos: pos}, nil
 	}
 	c := lx.peek()
 
@@ -182,7 +195,7 @@ func (lx *lexer) next() (Token, error) {
 		if err != nil {
 			return Token{}, err
 		}
-		return Token{Kind: PP, Text: text, WS: ws, Pos: pos}, nil
+		return Token{Kind: PP, Text: text, Pos: pos}, nil
 	}
 
 	if isIdentStart(c) {
@@ -204,9 +217,9 @@ func (lx *lexer) next() (Token, error) {
 			if lx.src[start+len(text)] == '\'' {
 				kind = CharLit
 			}
-			return Token{Kind: kind, Text: lit, WS: ws, Pos: pos}, nil
+			return Token{Kind: kind, Text: lit, Pos: pos}, nil
 		}
-		return Token{Kind: Ident, Text: text, WS: ws, Pos: pos}, nil
+		return Token{Kind: Ident, Text: text, Pos: pos}, nil
 	}
 
 	if isDigit(c) || (c == '.' && isDigit(lx.peekAt(1))) {
@@ -214,7 +227,7 @@ func (lx *lexer) next() (Token, error) {
 		if err != nil {
 			return Token{}, err
 		}
-		return Token{Kind: kind, Text: text, WS: ws, Pos: pos}, nil
+		return Token{Kind: kind, Text: text, Pos: pos}, nil
 	}
 
 	if c == '"' {
@@ -222,21 +235,21 @@ func (lx *lexer) next() (Token, error) {
 		if err != nil {
 			return Token{}, err
 		}
-		return Token{Kind: StringLit, Text: lit, WS: ws, Pos: pos}, nil
+		return Token{Kind: StringLit, Text: lit, Pos: pos}, nil
 	}
 	if c == '\'' {
 		lit, err := lx.lexStringFrom(lx.off, pos, false)
 		if err != nil {
 			return Token{}, err
 		}
-		return Token{Kind: CharLit, Text: lit, WS: ws, Pos: pos}, nil
+		return Token{Kind: CharLit, Text: lit, Pos: pos}, nil
 	}
 
 	if lx.opts.SmPL {
 		for _, p := range smplPuncts {
 			if strings.HasPrefix(lx.src[lx.off:], p) {
 				lx.advance(len(p))
-				return Token{Kind: Punct, Text: p, WS: ws, Pos: pos}, nil
+				return Token{Kind: Punct, Text: p, Pos: pos}, nil
 			}
 		}
 	}
@@ -248,7 +261,7 @@ func (lx *lexer) next() (Token, error) {
 			continue
 		}
 		lx.advanceNoNL(len(p))
-		return Token{Kind: Punct, Text: p, WS: ws, Pos: pos}, nil
+		return Token{Kind: Punct, Text: p, Pos: pos}, nil
 	}
 
 	return Token{}, lx.errf(pos, "unexpected character %q", string(c))
@@ -284,10 +297,9 @@ func (lx *lexer) lexPPLine() (string, error) {
 		// continue the logical line; keep it simple and include them.
 		lx.advance(1)
 	}
-	text := lx.src[start:lx.off]
-	// Trim trailing carriage return and trailing // comment on the line.
-	text = strings.TrimRight(text, "\r")
-	return text, nil
+	// A CRLF line's carriage return stays out of the directive's text; it
+	// leads the next token's whitespace, so the file still renders exactly.
+	return strings.TrimRight(lx.src[start:lx.off], "\r"), nil
 }
 
 func (lx *lexer) lexNumber() (string, Kind, error) {

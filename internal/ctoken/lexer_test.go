@@ -1,9 +1,13 @@
 package ctoken
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
+
+	"repro/internal/codegen"
 )
 
 func lexOK(t *testing.T, src string, opts Options) *File {
@@ -227,5 +231,85 @@ func TestQuickTrailingWS(t *testing.T) {
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// A CRLF file's directive lines keep their carriage returns: the directive
+// text stops before the '\r', which leads the next token's whitespace.
+func TestLexCRLFDirectivesRoundtrip(t *testing.T) {
+	src := "#include <a.h>\r\n#define N 4\r\n#pragma omp parallel \\\r\n  for\r\nint f(void)\r\n{\r\n\treturn foo(N);\r\n}\r\n"
+	f := lexOK(t, src, Options{})
+	if got := f.Render(); got != src {
+		t.Errorf("CRLF roundtrip failed:\n in: %q\nout: %q", src, got)
+	}
+	if f.Tokens[0].Text != "#include <a.h>" {
+		t.Errorf("directive text = %q, want no carriage return", f.Tokens[0].Text)
+	}
+	if ws := f.WS(1); ws != "\r\n" {
+		t.Errorf("whitespace after the directive = %q, want %q", ws, "\r\n")
+	}
+}
+
+// Every token's text sits in the source at its offset, and WS(i) is the
+// source between consecutive tokens.
+func TestWSDerivedFromOffsets(t *testing.T) {
+	src := "/* c */ int  x = 1; // tail\n#define A \\\n 2\n\ty++;  \n"
+	f := lexOK(t, src, Options{})
+	end := 0
+	for i, tok := range f.Tokens {
+		off := int(tok.Pos.Offset)
+		if src[off:off+len(tok.Text)] != tok.Text {
+			t.Errorf("token %d %q not at offset %d", i, tok.Text, off)
+		}
+		if got := f.WS(i); got != src[end:off] {
+			t.Errorf("WS(%d) = %q, want %q", i, got, src[end:off])
+		}
+		end = tok.End()
+	}
+	if last := f.Tokens[len(f.Tokens)-1]; last.Kind != EOF || int(last.Pos.Offset) != len(src) {
+		t.Errorf("stream ends with %v at %d, want EOF at %d", last.Kind, last.Pos.Offset, len(src))
+	}
+}
+
+func TestTokenSize(t *testing.T) {
+	if got := unsafe.Sizeof(Token{}); got != 32 {
+		t.Errorf("unsafe.Sizeof(Token{}) = %d, want 32", got)
+	}
+}
+
+// Offsets are int32, so Lex refuses a source too long for them instead of
+// letting them wrap. The limit is lowered here; the real one is 2 GiB.
+func TestLexRejectsOversizedSource(t *testing.T) {
+	defer func(n int) { maxSrcLen = n }(maxSrcLen)
+	maxSrcLen = 16
+	if _, err := Lex("ok.c", strings.Repeat("x", 16), Options{}); err != nil {
+		t.Fatalf("source at the limit: %v", err)
+	}
+	_, err := Lex("big.c", strings.Repeat("x", 17), Options{})
+	var le *LexError
+	if !errors.As(err, &le) || le.File != "big.c" {
+		t.Fatalf("source over the limit: err = %v, want a *LexError for big.c", err)
+	}
+}
+
+// Lex sizes its token slice once for the densest generated C, so it
+// allocates only the File and the slice, and round-trips every shape.
+func TestLexAllocsGeneratedShapes(t *testing.T) {
+	for _, shape := range []string{"openmp", "cuda", "aos", "mixed"} {
+		src := codegen.Shapes[shape](codegen.Config{Funcs: 64, StmtsPerFunc: 4, Seed: 4})
+		opts := Options{CUDAChevrons: true}
+		f := lexOK(t, src, opts)
+		if f.Render() != src {
+			t.Errorf("%s: roundtrip failed", shape)
+		}
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := Lex("p.c", src, opts); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 2 {
+			t.Errorf("%s (%.2f bytes/token): Lex made %v allocations, want 2",
+				shape, float64(len(src))/float64(len(f.Tokens)), allocs)
+		}
 	}
 }

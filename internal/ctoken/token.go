@@ -1,10 +1,10 @@
 // Package ctoken implements a lexer for the C/C++ dialect used by the
-// semantic patch engine. Tokens keep their exact source text and the
-// whitespace (including comments) that precedes them, so a token stream can
-// be rendered back to the original source byte-for-byte. The same lexer, in
-// SmPL mode, tokenizes semantic patch bodies, which extend C with a handful
-// of pattern operators (escaped disjunctions, metavariable positions, and
-// identifier concatenation).
+// semantic patch engine. Tokens keep their exact source text and offset, and
+// the whitespace (including comments) before a token is the source between
+// it and the previous one, so a token stream renders back to the original
+// source byte-for-byte. The same lexer, in SmPL mode, tokenizes semantic
+// patch bodies, which extend C with a handful of pattern operators (escaped
+// disjunctions, metavariable positions, and identifier concatenation).
 package ctoken
 
 import "fmt"
@@ -46,25 +46,28 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
 
-// Pos is a source position.
+// Pos is a source position. Its fields are 32-bit to keep Token small; Lex
+// rejects sources too long for them.
 type Pos struct {
-	Offset int // byte offset in the file
-	Line   int // 1-based line
-	Col    int // 1-based column (bytes)
+	Offset int32 // byte offset in the file
+	Line   int32 // 1-based line
+	Col    int32 // 1-based column (bytes)
 }
 
 func (p Pos) String() string { return fmt.Sprintf("%d:%d", p.Line, p.Col) }
 
-// Token is one lexical element. WS holds the exact whitespace and comments
-// that preceded the token in the source, so concatenating WS+Text over a
-// token slice reproduces the input exactly (the EOF token carries trailing
-// whitespace).
+// Token is one lexical element. Text is the slice of the file's source that
+// starts at Pos.Offset; the whitespace and comments before the token are not
+// stored but derived from the offsets (File.WS). The field order packs a
+// Token into 32 bytes.
 type Token struct {
 	Kind Kind
-	Text string
-	WS   string
 	Pos  Pos
+	Text string
 }
+
+// End returns the byte offset just past the token's text.
+func (t *Token) End() int { return int(t.Pos.Offset) + len(t.Text) }
 
 // Is reports whether the token is a punctuation token with the given text.
 func (t Token) Is(text string) bool { return t.Kind == Punct && t.Text == text }
@@ -72,41 +75,44 @@ func (t Token) Is(text string) bool { return t.Kind == Punct && t.Text == text }
 // IsIdent reports whether the token is an identifier with the given name.
 func (t Token) IsIdent(name string) bool { return t.Kind == Ident && t.Text == name }
 
-// File is a lexed source file.
+// File is a lexed source file. Only Lex builds one, so every token's Text
+// sits in Src at its offset and the tokens cover Src in order.
 type File struct {
 	Name   string
 	Src    string
 	Tokens []Token // always ends with an EOF token
 }
 
+// WS returns the exact whitespace and comments that precede token i: the
+// source between the end of token i-1 (or the start of the file) and token
+// i. The EOF token's WS is the file's trailing whitespace, so concatenating
+// WS(i)+Text over all tokens reproduces Src.
+func (f *File) WS(i int) string {
+	start := 0
+	if i > 0 {
+		start = f.Tokens[i-1].End()
+	}
+	return f.Src[start:f.Tokens[i].Pos.Offset]
+}
+
 // Render reconstructs the source text of the token stream.
 func (f *File) Render() string {
-	n := 0
-	for _, t := range f.Tokens {
-		n += len(t.WS) + len(t.Text)
-	}
-	buf := make([]byte, 0, n)
-	for _, t := range f.Tokens {
-		buf = append(buf, t.WS...)
-		buf = append(buf, t.Text...)
+	buf := make([]byte, 0, len(f.Src))
+	for i := range f.Tokens {
+		buf = append(buf, f.WS(i)...)
+		buf = append(buf, f.Tokens[i].Text...)
 	}
 	return string(buf)
 }
 
 // Slice returns the exact source text spanned by tokens [first, last],
-// excluding the leading whitespace of the first token.
+// excluding the leading whitespace of the first token. It shares Src's
+// bytes.
 func (f *File) Slice(first, last int) string {
 	if first < 0 || last >= len(f.Tokens) || first > last {
 		return ""
 	}
-	var buf []byte
-	for i := first; i <= last; i++ {
-		if i > first {
-			buf = append(buf, f.Tokens[i].WS...)
-		}
-		buf = append(buf, f.Tokens[i].Text...)
-	}
-	return string(buf)
+	return f.Src[f.Tokens[first].Pos.Offset:f.Tokens[last].End()]
 }
 
 // Keywords of the supported C/C++ dialect. The lexer does not give keywords a

@@ -79,16 +79,17 @@ func myers(a, b []string) []op {
 	if max == 0 {
 		return nil
 	}
-	// v[k] = furthest x on diagonal k; store per-step traces for backtrack.
+	// v[k] = furthest x on diagonal k. Backtracking needs v as it stood
+	// before each step d, but step d reads only diagonals -d..d, so
+	// trace[d] keeps just those 2d+1 entries (trace[d][d+k] is v[k]): the
+	// trace is O(D²) rather than O(D·(N+M)).
 	offset := max
 	v := make([]int, 2*max+1)
 	var trace [][]int
 	var dFound = -1
 loop:
 	for d := 0; d <= max; d++ {
-		snapshot := make([]int, len(v))
-		copy(snapshot, v)
-		trace = append(trace, snapshot)
+		trace = append(trace, append([]int(nil), v[offset-d:offset+d+1]...))
 		for k := -d; k <= d; k += 2 {
 			var x int
 			if k == -d || (k != d && v[offset+k-1] < v[offset+k+1]) {
@@ -115,12 +116,12 @@ loop:
 		vprev := trace[d]
 		k := x - y
 		var prevK int
-		if k == -d || (k != d && vprev[offset+k-1] < vprev[offset+k+1]) {
+		if k == -d || (k != d && vprev[d+k-1] < vprev[d+k+1]) {
 			prevK = k + 1
 		} else {
 			prevK = k - 1
 		}
-		prevX := vprev[offset+prevK]
+		prevX := vprev[d+prevK]
 		prevY := prevX - prevK
 		for x > prevX && y > prevY {
 			x--

@@ -307,8 +307,8 @@ func applySplices(text string, tf *ctoken.File, spls []splice) string {
 	var sb strings.Builder
 	at := 0
 	for _, sp := range sorted {
-		a := toks[sp.first].Pos.Offset
-		b := toks[sp.last].Pos.Offset + len(toks[sp.last].Text)
+		a := int(toks[sp.first].Pos.Offset)
+		b := toks[sp.last].End()
 		sb.WriteString(text[at:a])
 		sb.WriteString(sp.name)
 		at = b

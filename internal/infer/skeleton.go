@@ -334,8 +334,8 @@ func collapseSkeleton(sk *skeleton) *skeleton {
 func stmtText(f *cast.File, n cast.Node, spls []splice) string {
 	first, last := n.Span()
 	toks := f.Toks.Tokens
-	start := toks[first].Pos.Offset
-	end := toks[last].Pos.Offset + len(toks[last].Text)
+	start := int(toks[first].Pos.Offset)
+	end := toks[last].End()
 	raw := f.Toks.Src[start:end]
 	if len(spls) > 0 {
 		sorted := append([]splice(nil), spls...)
@@ -343,8 +343,8 @@ func stmtText(f *cast.File, n cast.Node, spls []splice) string {
 		var sb strings.Builder
 		at := start
 		for _, sp := range sorted {
-			a := toks[sp.first].Pos.Offset
-			b := toks[sp.last].Pos.Offset + len(toks[sp.last].Text)
+			a := int(toks[sp.first].Pos.Offset)
+			b := toks[sp.last].End()
 			sb.WriteString(f.Toks.Src[at:a])
 			sb.WriteString(sp.name)
 			at = b
@@ -352,7 +352,7 @@ func stmtText(f *cast.File, n cast.Node, spls []splice) string {
 		sb.WriteString(f.Toks.Src[at:end])
 		raw = sb.String()
 	}
-	return stripBase(raw, lineIndent(toks[first].WS))
+	return stripBase(raw, lineIndent(f.Toks.WS(first)))
 }
 
 // lineIndent is the tail of a whitespace run after its last newline — the

@@ -278,7 +278,7 @@ func checkDisjunctions(p *smpl.Patch) []Issue {
 						first, _ := n.Span()
 						line := 0
 						if first >= 0 && first < len(toks) {
-							line = toks[first].Pos.Line
+							line = int(toks[first].Pos.Line)
 						}
 						issues = append(issues, Issue{Patch: p.Name, Rule: r.Name, Code: CodeShadowedBranch,
 							Msg: fmt.Sprintf("disjunction at body line %d: branch %d is shadowed by branch %d and can never match", line, j+1, i+1)})

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/codegen"
+	"repro/internal/diff"
 	"repro/internal/smpl"
 )
 
@@ -157,5 +159,22 @@ func TestDiffsProduced(t *testing.T) {
 	}
 	if !strings.Contains(d, "@@") {
 		t.Errorf("no hunk headers:\n%s", d)
+	}
+}
+
+// L1 instruments every kernel of a generated OpenMP file, and the diff
+// against the input adds one start and one stop marker per kernel.
+func TestL1OnGeneratedOpenMP(t *testing.T) {
+	l1, _ := ByID("L1")
+	src := codegen.OpenMP(codegen.Config{Funcs: 32, StmtsPerFunc: 2, Seed: 5})
+	_, out, err := l1.RunOn(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := diff.Unified("a", "b", src, out)
+	for _, marker := range []string{"\n+LIKWID_MARKER_START(", "\n+\tLIKWID_MARKER_STOP("} {
+		if n := strings.Count(d, marker); n != 32 {
+			t.Errorf("%d added %q lines, want one per kernel (32):\n%s", n, marker[2:], d)
+		}
 	}
 }

@@ -248,7 +248,7 @@ func (p *Pattern) TokenMark(i int) Mark {
 	if i < 0 || i >= len(p.Toks.Tokens) {
 		return Ctx
 	}
-	line := p.Toks.Tokens[i].Pos.Line - 1
+	line := int(p.Toks.Tokens[i].Pos.Line) - 1
 	if line < 0 || line >= len(p.LineMarks) {
 		return Ctx
 	}

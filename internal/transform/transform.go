@@ -7,6 +7,7 @@
 package transform
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
@@ -40,15 +41,13 @@ type Insertion struct {
 	Anchor int // token index
 	Place  Where
 	Text   string // may contain newlines; indentation is added per line
-	seq    int
 }
 
 // EditSet collects edits against one token file.
 type EditSet struct {
 	file *ctoken.File
 	del  map[int]bool
-	ins  []Insertion
-	seq  int
+	ins  []Insertion // in the order they were queued
 }
 
 // NewEditSet creates an empty edit set for the file.
@@ -76,8 +75,7 @@ func (e *EditSet) Deleted(i int) bool { return e.del[i] }
 
 // Insert queues text at the anchor with the given placement.
 func (e *EditSet) Insert(anchor int, place Where, text string) {
-	e.ins = append(e.ins, Insertion{Anchor: anchor, Place: place, Text: text, seq: e.seq})
-	e.seq++
+	e.ins = append(e.ins, Insertion{Anchor: anchor, Place: place, Text: text})
 }
 
 // Overlaps reports whether the token range [first,last] intersects any
@@ -98,10 +96,7 @@ func (e *EditSet) indentOf(i int) string {
 		return ""
 	}
 	src := e.file.Src
-	off := e.file.Tokens[i].Pos.Offset
-	if off > len(src) {
-		off = len(src)
-	}
+	off := min(int(e.file.Tokens[i].Pos.Offset), len(src))
 	lineStart := strings.LastIndexByte(src[:off], '\n') + 1
 	j := lineStart
 	for j < len(src) && (src[j] == ' ' || src[j] == '\t') {
@@ -118,9 +113,7 @@ func (e *EditSet) Merge(o *EditSet) {
 	for i := range o.del {
 		e.del[i] = true
 	}
-	for _, in := range o.ins {
-		e.Insert(in.Anchor, in.Place, in.Text)
-	}
+	e.ins = append(e.ins, o.ins...)
 }
 
 // WithinRange reports whether every recorded edit touches only tokens in
@@ -177,25 +170,37 @@ func (e *EditSet) ApplyRange(first, last int, lead string) (out string, ambiguou
 
 // render is the shared token loop behind Apply and ApplyRange.
 func (e *EditSet) render(first, last int, lead string, override bool) (string, bool) {
-	byAnchor := map[int][]Insertion{}
-	for _, in := range e.ins {
-		byAnchor[in.Anchor] = append(byAnchor[in.Anchor], in)
-	}
-	for _, list := range byAnchor {
-		sort.SliceStable(list, func(i, j int) bool { return list[i].seq < list[j].seq })
-	}
-
-	var sb strings.Builder
+	// A stable sort by anchor keeps each anchor's insertions in the order
+	// they were queued; the loop below walks them with a cursor.
+	ins := slices.Clone(e.ins)
+	sort.SliceStable(ins, func(i, j int) bool { return ins[i].Anchor < ins[j].Anchor })
 	toks := e.file.Tokens
+	last = min(last, len(toks)-1)
+	// Size the output once: the source span plus room for each insertion
+	// and the indentation it gains.
+	size := len(lead) + len(e.file.WS(first)) + toks[last].End() - int(toks[first].Pos.Offset)
+	for _, in := range ins {
+		size += 2 * len(in.Text)
+	}
+	var sb strings.Builder
+	sb.Grow(size)
+	next := 0
 	prevDeleted := false
-	for i := first; i <= last && i < len(toks); i++ {
-		t := toks[i]
+	for i := first; i <= last; i++ {
+		ws := e.file.WS(i)
 		if i == first && override {
 			// The caller owns the bytes before the range; substitute the
 			// range-local whitespace (the anchor's own-line indentation).
-			t.WS = lead
+			ws = lead
 		}
-		inserts := byAnchor[i]
+		for next < len(ins) && ins[next].Anchor < i {
+			next++
+		}
+		at := next
+		for next < len(ins) && ins[next].Anchor == i {
+			next++
+		}
+		inserts := ins[at:next]
 
 		// BeforeOwnLine insertions: split the token's whitespace at its last
 		// newline and slot the new lines in between.
@@ -216,7 +221,6 @@ func (e *EditSet) render(first, last int, lead string, override bool) (string, b
 			}
 		}
 
-		ws := t.WS
 		if len(beforeOwn) > 0 {
 			indent := e.indentOf(i)
 			nl := strings.LastIndexByte(ws, '\n')
@@ -266,7 +270,7 @@ func (e *EditSet) render(first, last int, lead string, override bool) (string, b
 		}
 
 		if !deleted {
-			sb.WriteString(t.Text)
+			sb.WriteString(toks[i].Text)
 		}
 
 		for _, in := range inlineAfter {

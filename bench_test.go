@@ -1,8 +1,10 @@
 package sempatch
 
 // The benchmark harness regenerates every experiment of the paper's Section
-// 3 (L1..L14, one benchmark each) plus the cross-cutting studies S1..S6
-// indexed in DESIGN.md. Run with:
+// 3 (L1..L14, one benchmark each) plus the cross-cutting studies S3..S6.
+// The scaling studies S1 (file size) and S2 (rule count) are tests now:
+// TestScalingFileSizeIncremental and TestScalingRulesNoMatch in
+// internal/core. Run with:
 //
 //	go test -bench=. -benchmem
 //
@@ -15,7 +17,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"strings"
 	"testing"
 
 	"repro/internal/aossoa"
@@ -58,47 +59,6 @@ func BenchmarkL12StlFind(b *testing.B)       { benchExperiment(b, "L12") }
 func BenchmarkL13Kokkos(b *testing.B)        { benchExperiment(b, "L13") }
 func BenchmarkL14PragmaInject(b *testing.B)  { benchExperiment(b, "L14") }
 func BenchmarkAoSSoA(b *testing.B)           { benchExperiment(b, "S6") }
-
-// S1: engine scaling with file size (L1 patch over growing inputs).
-func BenchmarkScalingFileSize(b *testing.B) {
-	e, _ := patchlib.ByID("L1")
-	for _, funcs := range []int{4, 16, 64, 256} {
-		src := codegen.OpenMP(codegen.Config{Funcs: funcs, StmtsPerFunc: 2, Seed: 1})
-		b.Run(fmt.Sprintf("funcs=%d", funcs), func(b *testing.B) {
-			b.SetBytes(int64(len(src)))
-			for i := 0; i < b.N; i++ {
-				if _, _, err := e.RunOn(src); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// S2: engine scaling with rule count (N independent rename rules).
-func BenchmarkScalingRules(b *testing.B) {
-	src := codegen.Mixed(codegen.Config{Funcs: 8, StmtsPerFunc: 3, Seed: 2})
-	for _, rules := range []int{1, 4, 16, 64} {
-		var sb strings.Builder
-		for r := 0; r < rules; r++ {
-			fmt.Fprintf(&sb, "@r%d@\nexpression list el;\n@@\n- missing_api_%d(el)\n+ replaced_%d(el)\n\n", r, r, r)
-		}
-		patchText := sb.String()
-		b.Run(fmt.Sprintf("rules=%d", rules), func(b *testing.B) {
-			p, err := ParsePatch("scale.cocci", patchText)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.SetBytes(int64(len(src)))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := NewApplier(p, Options{}).Apply(File{Name: "m.c", Src: src}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
 
 // S3: AST-level vs text-level CUDA-to-HIP translation (the hipify-perl
 // design-point comparison). The text baseline is faster but unsafe; the

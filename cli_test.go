@@ -12,6 +12,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/cache"
+	"repro/internal/core"
 )
 
 // buildTool compiles one command into a temp dir, once per test binary.
@@ -434,6 +437,68 @@ func TestCLIGocciCacheWarm(t *testing.T) {
 	_, finalErr := run()
 	if !strings.Contains(finalErr, "2 cached") {
 		t.Errorf("cache did not heal:\n%s", finalErr)
+	}
+}
+
+// A --cache-dir holding records from an engine of another output version
+// must miss them: each seeded record claims a wrong diff, one under the key
+// a cache had before the output version joined it, one under an older
+// version. gocci prints byte-for-byte what a run without the cache prints.
+// The same record under the current version does replay, which shows the
+// seeding writes where gocci reads.
+func TestCLIGocciCacheStaleOutputVersion(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	bin := buildTool(t, "gocci")
+	src, err := os.ReadFile("testdata/setup.c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	patch, err := os.ReadFile("testdata/rename.cocci")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree := t.TempDir()
+	if err := os.WriteFile(filepath.Join(tree, "hit.c"), src, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	run := func(args ...string) (string, string) {
+		cmd := exec.Command(bin, append(append([]string{"-r", "--stats"}, args...), tree, "testdata/rename.cocci")...)
+		var stdout, stderr strings.Builder
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		if err := cmd.Run(); err != nil {
+			t.Fatalf("gocci %v: %v\n%s", args, err, stderr.String())
+		}
+		return stdout.String(), stderr.String()
+	}
+	seeded := func(fingerprint string) string {
+		dir := filepath.Join(t.TempDir(), "cache")
+		store, err := cache.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := &cache.Record{Changed: true, Output: "stale output\n",
+			Diff: "@@ -1 +1 @@\n-stale\n+output\n", MatchCount: map[string]int{"rename": 1}}
+		if err := store.PutResult(cache.ResultKey(string(patch), fingerprint), cache.HashString(string(src)), rec); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+	plain, _ := run()
+	// The options fingerprint of a plain C run (batch.fingerprint).
+	fp := "cpp=false,std=0,cuda=false,maxenvs=4096,maxmatch=0,D="
+	if out, _ := run("--cache-dir", seeded(fp+",out="+core.OutputVersion)); !strings.Contains(out, "+output") {
+		t.Fatalf("a record under the current output version did not replay, so the seeding misses gocci's key:\n%s", out)
+	}
+	for _, stale := range []string{fp, fp + ",out=0"} {
+		out, errOut := run("--cache-dir", seeded(stale))
+		if out != plain {
+			t.Errorf("cache with a record under %q printed:\n%s\nwant what an uncached run prints:\n%s", stale, out, plain)
+		}
+		if !strings.Contains(errOut, "0 cached") {
+			t.Errorf("cache with a record under %q replayed it:\n%s", stale, errOut)
+		}
 	}
 }
 

@@ -1,6 +1,6 @@
 package sempatch
 
-// Fuzz targets for the three front-end invariants the engine leans on:
+// Fuzz targets for the four front-end invariants the engine leans on:
 //
 //   - FuzzSmPLParse: the .cocci parser never panics, and every patch it
 //     accepts survives the renderer's parse→print→parse fixpoint.
@@ -12,18 +12,24 @@ package sempatch
 //     every file it segments, splicing the raw pieces reproduces the input
 //     byte for byte (the invariant the incremental cache's correctness
 //     rests on).
+//   - FuzzIncrementalReparse: after random edits, the incremental re-parse
+//     builds exactly the tree (node types, spans, token indices) or the
+//     error a full parse of the edited text builds, and never changes a
+//     tree it does not own.
 //
 // Seed corpora live in testdata/fuzz/<FuzzName>/; CI replays them as part
 // of the ordinary test run and additionally fuzzes each target briefly.
 
 import (
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/cast"
 	"repro/internal/cparse"
 	"repro/internal/smpl"
+	"repro/internal/transform"
 )
 
 func FuzzSmPLParse(f *testing.F) {
@@ -109,6 +115,88 @@ func FuzzSegmentSplice(f *testing.F) {
 	})
 }
 
+// reparsePlus is the plus text FuzzIncrementalReparse inserts: code that
+// adds or ends declarations, text that opens a comment, a string or a
+// character literal, and kernel launches that add or remove "<<<".
+var reparsePlus = []string{
+	"x", "int y;", "foo(1);", "}", "{", ";", "(", ")", "\n",
+	"/*", "*/", "// c", "\"", "'", "\"s\"", "\\",
+	"<<<", ">>>", "k<<<1, 2>>>(p);",
+	"#include <a.h>", "#pragma omp parallel for", "struct S { int a; }",
+	"void g(void) { return; }", "typedef int T;",
+}
+
+// fuzzDialect maps FuzzCParse's dialect byte onto parser options.
+func fuzzDialect(dialect uint8) cparse.Options {
+	opts := cparse.Options{CPlusPlus: dialect&1 != 0, CUDA: dialect&2 != 0}
+	if opts.CPlusPlus {
+		opts.Std = 23
+	}
+	return opts
+}
+
+// fuzzEdits records the edits that script spells, three bytes each
+// (operation, token, plus text), against f's tokens.
+func fuzzEdits(f *cast.File, script []byte) *transform.EditSet {
+	ed := transform.NewEditSet(f.Toks)
+	n := len(f.Toks.Tokens) // the last one is EOF
+	for ; len(script) >= 3; script = script[3:] {
+		op, tok, text := script[0]%6, int(script[1]), reparsePlus[int(script[2])%len(reparsePlus)]
+		switch {
+		case op < 2 && n > 1:
+			i := tok % (n - 1)
+			ed.DeleteRange(i, min(i+int(op)*int(script[2]%3), n-2))
+		case op >= 2:
+			ed.Insert(tok%n, transform.Where(op-2), text)
+		}
+	}
+	return ed
+}
+
+func FuzzIncrementalReparse(f *testing.F) {
+	f.Add("int f(int n) {\n    return n + 1;\n}\nint g(void) { return 2; }\n", uint8(0), []byte{2, 0, 19, 0, 9, 0, 3, 12, 9})
+	f.Add("__global__ void k(float *a) { a[0] = 1.0f; }\nvoid h() { k<<<1, 2>>>(p); }\nint z;\n", uint8(0), []byte{1, 17, 2, 4, 3, 16})
+	f.Add("#include <a.h>\nstruct P { int x; }\n;\nint a;\nint b;\n", uint8(1), []byte{0, 6, 0, 5, 6, 5})
+	f.Fuzz(func(t *testing.T, src string, dialect uint8, script []byte) {
+		opts := fuzzDialect(dialect)
+		old, err := cparse.Parse("fuzz.c", src, opts)
+		if err != nil {
+			return
+		}
+		ref, _ := cparse.Parse("fuzz.c", src, opts)
+		half := len(script) / 2 / 3 * 3
+		// First round: a tree someone else holds, so reused declarations
+		// must be copies. Second round: the tree the first round built,
+		// which the caller owns, so they may be shifted in place.
+		cur, owned := old, false
+		for _, part := range [][]byte{script[:half], script[half:]} {
+			ed := fuzzEdits(cur, part)
+			text := ed.Apply()
+			got, _, err := cparse.Reparse("fuzz.c", text, opts, cparse.Prior{
+				File: cur, Edited: ed.Edited(), Inserted: ed.InsertedBytes(), Owned: owned,
+			})
+			want, werr := cparse.Parse("fuzz.c", text, opts)
+			if (err == nil) != (werr == nil) || (err != nil && err.Error() != werr.Error()) {
+				t.Fatalf("re-parse error %v, full parse error %v\ntext:\n%q", err, werr, text)
+			}
+			if err != nil {
+				return
+			}
+			if !reflect.DeepEqual(got.Toks.Tokens, want.Toks.Tokens) {
+				t.Fatalf("re-lex differs from a full lex\ntext:\n%q", text)
+			}
+			if !reflect.DeepEqual(got.Decls, want.Decls) {
+				t.Fatalf("incremental tree differs from a full parse\ntext:\n%q\ngot:\n%s\nwant:\n%s",
+					text, cast.Dump(got), cast.Dump(want))
+			}
+			cur, owned = got, true
+		}
+		if !reflect.DeepEqual(old.Decls, ref.Decls) {
+			t.Fatalf("re-parse changed a tree it does not own:\nnow:\n%s\nwas:\n%s", cast.Dump(old), cast.Dump(ref))
+		}
+	})
+}
+
 func firstDiff(a, b string) int {
 	n := len(a)
 	if len(b) < n {
@@ -128,7 +216,7 @@ func firstDiff(a, b string) int {
 // happens in the Fuzz* functions above, which `go test` runs over every
 // seed without -fuzz.
 func TestFuzzSeedCorpusReplay(t *testing.T) {
-	for _, name := range []string{"FuzzSmPLParse", "FuzzCParse", "FuzzSegmentSplice"} {
+	for _, name := range []string{"FuzzSmPLParse", "FuzzCParse", "FuzzSegmentSplice", "FuzzIncrementalReparse"} {
 		entries, err := fuzzDirEntries(name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)

@@ -101,14 +101,17 @@ func fingerprint(o core.Options) string {
 }
 
 // keyFingerprint extends the engine fingerprint with every result-affecting
-// input that lives outside the patch text: verify mode (with the checker's
-// version, so changing the checks invalidates cached verify decisions), the
-// finding-emission version for patches that carry check rules (so changing
-// how findings are derived invalidates cached findings), and the declared
-// versions of native Go script handlers (so a re-versioned handler
-// invalidates every outcome it helped produce).
+// input that lives outside the patch text: the engine's output version (so
+// a change to what the engine prints invalidates every cached outcome,
+// file- and function-granular alike, since both key under this patch key),
+// verify mode (with the checker's version, so changing the checks
+// invalidates cached verify decisions), the finding-emission version for
+// patches that carry check rules (so changing how findings are derived
+// invalidates cached findings), and the declared versions of native Go
+// script handlers (so a re-versioned handler invalidates every outcome it
+// helped produce).
 func keyFingerprint(o core.Options, verifyOn, hasChecks bool, scriptVers map[string]string) string {
-	fp := fingerprint(o)
+	fp := fingerprint(o) + ",out=" + core.OutputVersion
 	if verifyOn {
 		fp += ",verify=" + verify.Version
 	}

@@ -309,7 +309,7 @@ type CampaignStats struct {
 // desired.
 func (c *Campaign) Run(files []core.SourceFile, yield func(CampaignFileResult) bool) {
 	c.run(len(files), c.opts.Tracer, func(i int) *FileState {
-		return &FileState{Name: files[i].Name, Src: files[i].Src, Loaded: true}
+		return &FileState{Name: files[i].Name, Src: files[i].Src, Loaded: true, private: true}
 	}, yield)
 }
 
@@ -323,7 +323,7 @@ func (c *Campaign) RunPaths(paths []string, yield func(CampaignFileResult) bool)
 		return &FileState{Name: path, Read: func() (string, error) {
 			b, err := os.ReadFile(path)
 			return string(b), err
-		}}
+		}, private: true}
 	}, yield)
 }
 

@@ -407,7 +407,7 @@ func TestFuncStoreWriteDiscipline(t *testing.T) {
 	// The manifest replays through the store even though k+2 segment entries
 	// were written under the same (patch, options) key.
 	fileHash := cache.HashString(files[0].Src)
-	key := cache.ResultKey(patch.Src, fingerprint(r.opts.Engine))
+	key := cache.ResultKey(patch.Src, keyFingerprint(r.opts.Engine, false, false, nil))
 	if rec, ok := cs.Result(key, fileHash); !ok || !rec.Changed {
 		t.Fatalf("file manifest unreadable after segment writes: ok=%v rec=%+v", ok, rec)
 	}

@@ -52,6 +52,10 @@ type FileState struct {
 	// holds the fresh tree. Re-parses of transformed intermediate text are
 	// internal to the engine and not reported here.
 	ParsedInput bool
+
+	// private marks a state the campaign built itself (Run, RunPaths): no
+	// caller sees its Parsed after the run.
+	private bool
 }
 
 // load ensures the input text is resident, fetching it via Read at most
@@ -265,7 +269,7 @@ func (c *Campaign) processState(engines []*core.Engine, popts cparse.Options, tk
 			return fail(err)
 		}
 		if parsed == nil {
-			sp := tk.Start(obs.StageParse).File(st.Name)
+			sp := tk.Start(obs.StageParse).File(st.Name).Outcome(obs.OutcomeFull)
 			cf, err := cparse.Parse(st.Name, cur, popts)
 			sp.End()
 			fr.Parsed = true
@@ -317,7 +321,12 @@ func (c *Campaign) processState(engines []*core.Engine, popts cparse.Options, tk
 		}
 		eng := engines[i]
 		eng.Reset()
-		res, err := eng.RunParsed([]core.ParsedFile{{Name: st.Name, Src: cur, File: parsed}})
+		// The last member may have the tree when no one else will look at
+		// it again: no verifier compares against it, no later member runs
+		// on it, and no caller keeps it. Its re-parses then shift the
+		// tree's declarations in place instead of copying them.
+		handOver := st.private && !c.opts.Verify && i == len(c.patches)-1
+		res, err := eng.RunParsed([]core.ParsedFile{{Name: st.Name, Src: cur, File: parsed, Owned: handOver}})
 		if err != nil {
 			return fail(err)
 		}

@@ -6,7 +6,11 @@
 // rule-qualified metavariable names. Edited files are re-parsed lazily,
 // just before the next match rule that passes the required-atom gate runs,
 // so later rules match the patched code and an output no later rule can
-// match never has to re-parse at all.
+// match never has to re-parse at all. The re-parse is incremental: it
+// re-lexes the whole text but parses again only the top-level declarations
+// the edits touched, and takes the others from the old tree with their
+// token indices shifted (cparse.Reparse). A tree the caller still holds is
+// never changed: declarations taken from it are copies.
 package core
 
 import (
@@ -26,6 +30,13 @@ import (
 	"repro/internal/smpl"
 	"repro/internal/transform"
 )
+
+// OutputVersion names what the engine makes of a given patch, input and
+// options: the output text, the match counts and the findings. The result
+// cache keys on it, so outcomes cached by an engine that printed something
+// else miss and are recomputed. Bump it with every change that alters an
+// output; TestOutputDigestTripwire fails until it is bumped.
+const OutputVersion = "1"
 
 // Options configures an engine run.
 type Options struct {
@@ -100,6 +111,13 @@ type Engine struct {
 	// the sequence matcher is the reference the CFG engine's outputs are
 	// compared against.
 	seqOnly bool
+	// onReparse, when set, sees every tree (or error) the lazy re-parse
+	// builds and how many declarations it reused. It is a test seam: the
+	// equivalence oracle compares each with a full parse of the same text.
+	onReparse func(name, src string, f *cast.File, reused int, err error)
+	// fullReparse makes every re-parse a full parse: the reference run the
+	// incremental path's outputs are compared against.
+	fullReparse bool
 }
 
 // New creates an engine for a parsed patch.
@@ -159,7 +177,14 @@ type fileState struct {
 	file  *cast.File
 	ed    *transform.EditSet
 	dirty bool
-	trace *obs.Track
+	// prev and prevEd are the tree and edits a refresh retired; the next
+	// parse reuses the declarations the edits left alone. owned reports
+	// that no one else holds file (the engine built it, or the caller
+	// handed it over), so its declarations may be shifted in place.
+	prev   *cast.File
+	prevEd *transform.EditSet
+	owned  bool
+	trace  *obs.Track
 	// cfgs caches one control-flow graph per function for the current
 	// parse. Both the CFG dots engine and the CTL verifier read through
 	// cfg(); a refresh invalidates the cache with the tree. Before this
@@ -247,19 +272,24 @@ type ParsedFile struct {
 	Name string
 	Src  string
 	File *cast.File
+	// Owned hands File over to the engine: a re-parse may then shift the
+	// tree's declarations in place instead of copying them, so the caller
+	// must not use File after the run. Leave it false for a tree anyone
+	// else still holds.
+	Owned bool
 }
 
 // Run applies the patch to the files.
 func (e *Engine) Run(files []SourceFile) (*Result, error) {
 	parsed := make([]ParsedFile, 0, len(files))
 	for _, f := range files {
-		sp := e.trace.Start(obs.StageParse).File(f.Name)
+		sp := e.trace.Start(obs.StageParse).File(f.Name).Outcome(obs.OutcomeFull)
 		cf, err := cparse.Parse(f.Name, f.Src, e.parseOpts())
 		sp.End()
 		if err != nil {
 			return nil, fmt.Errorf("parsing %s: %w", f.Name, err)
 		}
-		parsed = append(parsed, ParsedFile{Name: f.Name, Src: f.Src, File: cf})
+		parsed = append(parsed, ParsedFile{Name: f.Name, Src: f.Src, File: cf, Owned: true})
 	}
 	res, err := e.RunParsed(parsed)
 	if err != nil {
@@ -277,14 +307,16 @@ func (e *Engine) Run(files []SourceFile) (*Result, error) {
 // RunParsed is Run over pre-parsed files, without the diffs: its caller
 // (the batch subsystem) diffs each file once after every patch has run, so
 // Result.Diffs stays nil and Result.Changed reports nothing. The engine
-// never mutates the given trees or their token files — edits accumulate in
-// per-run EditSets and transformed text is re-parsed into fresh trees — so
-// one parse may be shared sequentially across any number of engine runs
-// (and concurrently across engines, since matching only reads it).
+// never mutates a given tree or its token file unless the caller hands it
+// over (ParsedFile.Owned): edits accumulate in per-run EditSets,
+// transformed text is re-parsed into fresh trees, and the declarations a
+// re-parse reuses from a given tree are copied. So one parse may be shared
+// sequentially across any number of engine runs (and concurrently across
+// engines, since matching only reads it).
 func (e *Engine) RunParsed(files []ParsedFile) (*Result, error) {
 	states := make([]*fileState, 0, len(files))
 	for _, f := range files {
-		states = append(states, &fileState{name: f.Name, src: f.Src, file: f.File, ed: transform.NewEditSet(f.File.Toks), trace: e.trace})
+		states = append(states, &fileState{name: f.Name, src: f.Src, file: f.File, ed: transform.NewEditSet(f.File.Toks), owned: f.Owned, trace: e.trace})
 	}
 
 	res := &Result{
@@ -599,15 +631,16 @@ func (e *Engine) withFresh(rule *smpl.Rule, env match.Env) match.Env {
 	return out
 }
 
-// refresh applies each edited file's pending edits to its text and drops
-// the tree, and every memo, that describe the old text. parse rebuilds the
-// tree for the rules that can use it.
+// refresh applies each edited file's pending edits to its text and retires
+// the tree, and drops every memo, that describe the old text. parse
+// rebuilds the tree for the rules that can use it.
 func refresh(states []*fileState) {
 	for _, st := range states {
 		if !st.dirty {
 			continue
 		}
 		st.src = st.ed.Apply()
+		st.prev, st.prevEd = st.file, st.ed
 		st.file, st.ed, st.dirty = nil, nil, false
 		st.cfgs = nil // graphs describe the old tree
 		st.seg, st.segDone = nil, false
@@ -615,20 +648,40 @@ func refresh(states []*fileState) {
 	}
 }
 
-// parse re-parses each file whose tree refresh dropped, so the rule about
-// to match sees the transformed code.
+// parse re-parses each file whose tree refresh retired, so the rule about
+// to match sees the transformed code. Only the top-level declarations the
+// edits touched are parsed again; the span's outcome says whether any
+// declaration was reused (incremental) or none was (full).
 func (e *Engine) parse(states []*fileState) error {
 	for _, st := range states {
 		if st.file != nil {
 			continue
 		}
 		sp := e.trace.Start(obs.StageParse).File(st.name)
-		cf, err := cparse.Parse(st.name, st.src, e.parseOpts())
+		prior := cparse.Prior{
+			File:     st.prev,
+			Edited:   st.prevEd.Edited(),
+			Inserted: st.prevEd.InsertedBytes(),
+			Owned:    st.owned,
+		}
+		if e.fullReparse {
+			prior = cparse.Prior{}
+		}
+		cf, reused, err := cparse.Reparse(st.name, st.src, e.parseOpts(), prior)
+		if reused > 0 {
+			sp.Outcome(obs.OutcomeIncremental)
+		} else {
+			sp.Outcome(obs.OutcomeFull)
+		}
 		sp.End()
+		if e.onReparse != nil {
+			e.onReparse(st.name, st.src, cf, reused, err)
+		}
 		if err != nil {
 			return fmt.Errorf("reparsing %s after transformation: %w\nsource:\n%s", st.name, err, st.src)
 		}
-		st.file, st.ed = cf, transform.NewEditSet(cf.Toks)
+		st.file, st.ed, st.owned = cf, transform.NewEditSet(cf.Toks), true
+		st.prev, st.prevEd = nil, nil
 	}
 	return nil
 }

@@ -1,19 +1,13 @@
 package core_test
 
 import (
-	"os"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/cast"
 	"repro/internal/cfg"
-	"repro/internal/codegen"
 	"repro/internal/core"
-	"repro/internal/cparse"
-	"repro/internal/hpc"
 	"repro/internal/index"
 	"repro/internal/match"
-	"repro/internal/patchlib"
 	"repro/internal/smpl"
 )
 
@@ -24,17 +18,13 @@ import (
 // and with the sequence matcher, and with inherited metavariables left free
 // (a superset of what any inherited environment admits).
 func TestRuleGateSound(t *testing.T) {
+	patches, corpus := shippedCorpus(t)
 	type input struct {
-		name, src string
-		file      *cast.File
-		cfgs      func(*cast.FuncDef) *cfg.Graph
+		corpusInput
+		cfgs func(*cast.FuncDef) *cfg.Graph
 	}
 	var inputs []input
-	tryAdd := func(name, src string, opts cparse.Options) error {
-		f, err := cparse.Parse(name, src, opts)
-		if err != nil {
-			return err
-		}
+	for _, in := range corpus {
 		graphs := map[*cast.FuncDef]*cfg.Graph{}
 		cfgs := func(fd *cast.FuncDef) *cfg.Graph {
 			if graphs[fd] == nil {
@@ -42,83 +32,7 @@ func TestRuleGateSound(t *testing.T) {
 			}
 			return graphs[fd]
 		}
-		inputs = append(inputs, input{name, src, f, cfgs})
-		return nil
-	}
-	add := func(name, src string, opts cparse.Options) {
-		if err := tryAdd(name, src, opts); err != nil {
-			t.Fatalf("parsing %s: %v", name, err)
-		}
-	}
-
-	// Patches: the registry campaigns, the paper's listings, testdata.
-	var patches []*smpl.Patch
-	addPatch := func(name, text string) {
-		p, err := smpl.ParsePatch(name, text)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		patches = append(patches, p)
-	}
-	dialect := map[string]cparse.Options{}
-	for _, c := range hpc.Campaigns() {
-		dialect[c.Name] = cparse.Options{CPlusPlus: c.CPlusPlus, Std: c.Std, CUDA: c.CUDA}
-		for _, name := range c.PatchNames() {
-			addPatch(c.Name+"/"+name, c.PatchText(name))
-		}
-	}
-	for _, e := range patchlib.Experiments() {
-		addPatch(e.ID+".cocci", e.Patch)
-		name := e.InputName
-		if name == "" {
-			name = e.ID + ".c"
-		}
-		opts := cparse.Options{CPlusPlus: e.Opts.CPlusPlus, Std: e.Opts.Std, CUDA: e.Opts.CUDA}
-		add(name, e.Input(), opts)
-		// The listing's output stands in for the text a later rule sees
-		// after earlier rules' edits; outputs beyond the parser's subset
-		// could never reach a matcher, so they are left out.
-		if _, out, err := e.Run(); err == nil {
-			_ = tryAdd("out-"+name, out, opts)
-		}
-	}
-	cocci, _ := filepath.Glob("../../testdata/*.cocci")
-	for _, path := range cocci {
-		b, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		addPatch(filepath.Base(path), string(b))
-	}
-
-	// Inputs: testdata sources and the parity suites' generated corpora.
-	csrc, _ := filepath.Glob("../../testdata/*.c")
-	for _, path := range csrc {
-		b, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		add(filepath.Base(path), string(b), cparse.Options{})
-	}
-	for _, gc := range []codegen.Config{
-		{Funcs: 2, StmtsPerFunc: 1, Seed: 1},
-		{Funcs: 3, StmtsPerFunc: 2, Seed: 20250326},
-		{Funcs: 5, StmtsPerFunc: 3, Seed: 7},
-	} {
-		add("cuda.cu", codegen.CUDA(gc), dialect["hipify"])
-	}
-	for _, gc := range []codegen.Config{
-		{Funcs: 2, StmtsPerFunc: 2, Seed: 1},
-		{Funcs: 4, StmtsPerFunc: 1, Seed: 42},
-	} {
-		add("curand.cu", codegen.Curand(gc), dialect["hipify"])
-	}
-	for _, gc := range []codegen.Config{
-		{Funcs: 2, StmtsPerFunc: 1, Seed: 1},
-		{Funcs: 3, StmtsPerFunc: 1, Seed: 20250326},
-		{Funcs: 6, StmtsPerFunc: 2, Seed: 99},
-	} {
-		add("acc.c", codegen.OpenACC(gc), dialect["acc2omp"])
+		inputs = append(inputs, input{in, cfgs})
 	}
 
 	rejected, admitted := 0, 0

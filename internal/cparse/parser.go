@@ -58,14 +58,20 @@ func Parse(name, src string, opts Options) (*cast.File, error) {
 	if !opts.pattern() {
 		parses.Add(1)
 	}
-	lf, err := ctoken.Lex(name, src, ctoken.Options{
-		SmPL:         opts.pattern(),
-		CUDAChevrons: opts.CUDA || strings.Contains(src, "<<<"),
-	})
+	lf, err := ctoken.Lex(name, src, lexOptions(src, opts))
 	if err != nil {
 		return nil, err
 	}
 	return ParseTokens(lf, opts)
+}
+
+// lexOptions derives a translation unit's lexer options: kernel-launch
+// chevrons lex as such under CUDA or wherever the text holds a "<<<".
+func lexOptions(src string, opts Options) ctoken.Options {
+	return ctoken.Options{
+		SmPL:         opts.pattern(),
+		CUDAChevrons: opts.CUDA || strings.Contains(src, "<<<"),
+	}
 }
 
 // ParseTokens parses an already-lexed file.

@@ -37,16 +37,25 @@ var maxSrcLen = math.MaxInt32 - 1
 // Lex tokenizes src. The token stream always ends with an EOF token at
 // len(src), so File.Render reproduces src exactly.
 func Lex(name, src string, opts Options) (*File, error) {
+	// Size the slice once for 1.5 bytes per token. HPC C runs 1.8–3.3
+	// (arrays of structs are the densest), so append rarely regrows; denser
+	// code costs one regrowth, never a wrong result.
+	return LexSized(name, src, opts, len(src)*2/3+8)
+}
+
+// LexSized is Lex with the token slice sized for n tokens. A caller that
+// knows the count closely (the re-lex of an edited file knows the old
+// count and how much text the edit inserted) saves the slack Lex's
+// bytes-per-token estimate leaves. n only sizes the slice: a short
+// estimate costs a regrowth, never a different result.
+func LexSized(name, src string, opts Options, n int) (*File, error) {
 	if len(src) > maxSrcLen {
 		return nil, &LexError{File: name, Pos: Pos{Line: 1, Col: 1},
 			Msg: fmt.Sprintf("source is %d bytes; the lexer takes at most %d", len(src), maxSrcLen)}
 	}
 	lx := &lexer{name: name, src: src, opts: opts, line: 1, col: 1}
-	f := &File{Name: name, Src: src}
-	// Size the slice once for 1.5 bytes per token. HPC C runs 1.8–3.3
-	// (arrays of structs are the densest), so append rarely regrows; denser
-	// code costs one regrowth, never a wrong result.
-	f.Tokens = make([]Token, 0, len(src)*2/3+8)
+	f := &File{Name: name, Src: src, Opts: opts}
+	f.Tokens = make([]Token, 0, max(n, 1))
 	for {
 		tok, err := lx.next()
 		if err != nil {

@@ -80,6 +80,7 @@ func (t Token) IsIdent(name string) bool { return t.Kind == Ident && t.Text == n
 type File struct {
 	Name   string
 	Src    string
+	Opts   Options // the options Src was lexed with
 	Tokens []Token // always ends with an EOF token
 }
 

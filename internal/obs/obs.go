@@ -41,12 +41,14 @@ const (
 	StageCacheWrite = "cache-write" // result/function cache persists
 )
 
-// Outcome values recorded on prefilter and cache spans.
+// Outcome values recorded on prefilter, cache and parse spans.
 const (
-	OutcomeHit  = "hit"  // cache lookup replayed a stored result
-	OutcomeMiss = "miss" // cache lookup found nothing usable
-	OutcomeSkip = "skip" // prefilter proved no rule can fire
-	OutcomePass = "pass" // prefilter let the file through
+	OutcomeHit         = "hit"         // cache lookup replayed a stored result
+	OutcomeMiss        = "miss"        // cache lookup found nothing usable
+	OutcomeSkip        = "skip"        // prefilter proved no rule can fire
+	OutcomePass        = "pass"        // prefilter let the file through
+	OutcomeFull        = "full"        // parse built every declaration
+	OutcomeIncremental = "incremental" // re-parse reused untouched declarations
 )
 
 // Tracer collects one run's spans. Create per run with New; hand each worker
@@ -162,7 +164,7 @@ func (s Span) Rule(name string) Span {
 	return s
 }
 
-// Outcome records a cache or prefilter decision (Outcome* constants).
+// Outcome records a cache, prefilter or parse decision (Outcome* constants).
 func (s Span) Outcome(o string) Span {
 	if s.tk != nil {
 		s.tk.spans[s.idx].outcome = o

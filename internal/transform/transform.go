@@ -147,6 +147,28 @@ func (e *EditSet) Touches(first, last int) bool {
 	return false
 }
 
+// Edited returns the token indices the set deletes or anchors insertions
+// on, unordered and possibly repeated: every token Touches can report.
+func (e *EditSet) Edited() []int {
+	out := make([]int, 0, len(e.del)+len(e.ins))
+	for i := range e.del {
+		out = append(out, i)
+	}
+	for _, in := range e.ins {
+		out = append(out, in.Anchor)
+	}
+	return out
+}
+
+// InsertedBytes returns the total length of the queued insertion texts.
+func (e *EditSet) InsertedBytes() int {
+	n := 0
+	for _, in := range e.ins {
+		n += len(in.Text)
+	}
+	return n
+}
+
 // Apply renders the edited source.
 func (e *EditSet) Apply() string {
 	out, _ := e.render(0, len(e.file.Tokens)-1, "", false)

@@ -14,7 +14,6 @@ package sempatch
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 	"runtime"
 	"testing"
@@ -196,93 +195,6 @@ func BenchmarkBatchApply(b *testing.B) {
 			}
 		})
 	}
-}
-
-// Resident daemon vs cold batch: the same 48-file corpus and L1 patch as
-// BenchmarkBatchApply, but served from a warm sempatch.Session — compiled
-// patterns, content hashes, word sets, parse trees, and results all
-// resident. The warm sweep replays every outcome from the in-memory cache
-// (zero parses, zero reads: each changed file's diff hunks replay too), so
-// the warm-sweep/BatchApply ratio is the price a cold process pays per
-// run; docs/serve.md records it. warm-apply is the single-file request
-// path an editor integration would hit.
-func BenchmarkServeApply(b *testing.B) {
-	e, ok := patchlib.ByID("L1")
-	if !ok {
-		b.Fatal("experiment L1 missing")
-	}
-	p, err := ParsePatch("batch.cocci", e.Patch)
-	if err != nil {
-		b.Fatal(err)
-	}
-	const nfiles = 48
-	root := b.TempDir()
-	var total int64
-	for i := 0; i < nfiles; i++ {
-		src := codegen.OpenMP(codegen.Config{Funcs: 8 + i%5, StmtsPerFunc: 3, Seed: int64(i + 1)})
-		if err := os.WriteFile(filepath.Join(root, fmt.Sprintf("src%02d.c", i)), []byte(src), 0o644); err != nil {
-			b.Fatal(err)
-		}
-		total += int64(len(src))
-	}
-	counts := []int{1, runtime.NumCPU()}
-	seen := map[int]bool{}
-	for _, w := range counts {
-		if seen[w] {
-			continue
-		}
-		seen[w] = true
-		server := NewServer(Options{Workers: w})
-		sess, err := server.AddSession(SessionConfig{
-			ID:      fmt.Sprintf("bench%d", w),
-			Root:    root,
-			Patches: []*Patch{p},
-			Options: Options{Workers: w},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := sess.Run(nil); err != nil { // warm the session
-			b.Fatal(err)
-		}
-		b.Run(fmt.Sprintf("warm-sweep/workers=%d", w), func(b *testing.B) {
-			b.SetBytes(total)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				st, err := sess.Run(nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if st.Changed != nfiles || st.Parsed != 0 {
-					b.Fatalf("warm sweep: %+v", st)
-				}
-			}
-		})
-		server.Close()
-	}
-
-	server := NewServer(Options{Workers: 1})
-	sess, err := server.AddSession(SessionConfig{
-		ID: "bench-apply", Root: root, Patches: []*Patch{p}, Options: Options{Workers: 1},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer server.Close()
-	if _, err := sess.ApplyPath("src00.c"); err != nil {
-		b.Fatal(err)
-	}
-	b.Run("warm-apply", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			fr, err := sess.ApplyPath("src00.c")
-			if err != nil {
-				b.Fatal(err)
-			}
-			if !fr.Changed() {
-				b.Fatal("apply did not change the file")
-			}
-		}
-	})
 }
 
 // Prefilter effect: batch apply over a corpus where ~90% of the files

@@ -594,10 +594,3 @@ type IncludePattern struct {
 
 func (*IncludePattern) declNode() {}
 func (*IncludePattern) stmtNode() {}
-
-// AttrPattern matches __attribute__((target(...,"avx512",...))) style
-// attribute specifications with dots wildcards in the argument list.
-type AttrPattern struct {
-	span
-	Args []Expr // may contain Dots entries
-}

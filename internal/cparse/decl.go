@@ -168,6 +168,36 @@ func (p *parser) parseOpaqueDecl(start int, endAtBrace bool) (cast.Decl, error) 
 	return d, nil
 }
 
+// readsPast reports whether parseTopDecl, building d from toks, looked at
+// the token after d's last one. Only parseOpaqueDecl does: with endAtBrace
+// it looks for a ';' after the closing '}', and a construct that runs to
+// the end of the file stops on the EOF token. An opaque declaration ended
+// by a ';' at depth zero did neither. Every other declaration ends on a
+// token the parser consumed without looking further: a function's '}' or
+// ';', a variable's ';', a lone ';', a directive line. The statement and
+// expression look-aheads inside a function stop at its closing '}'.
+func readsPast(toks []ctoken.Token, d cast.Decl) bool {
+	if _, ok := d.(*cast.OpaqueDecl); !ok {
+		return false
+	}
+	first, last := d.Span()
+	if !toks[last].Is(";") {
+		return true
+	}
+	// The depth parseOpaqueDecl counted: a ';' inside an open group did not
+	// end the construct, so it ran on to the EOF.
+	depth := 0
+	for k := first; k < last; k++ {
+		switch t := &toks[k]; {
+		case t.Is("{") || t.Is("(") || t.Is("["):
+			depth++
+		case t.Is("}") || t.Is(")") || t.Is("]"):
+			depth--
+		}
+	}
+	return depth != 0
+}
+
 // parsePP converts a preprocessor token into the right Decl node. In pattern
 // mode, pragma and include lines become pattern nodes with wildcard support.
 func (p *parser) parsePP() (cast.Decl, error) {

@@ -34,10 +34,11 @@ type Prior struct {
 // anywhere else it parses one declaration. This is exact because the
 // parser keeps no state across top-level declarations: what parseTopDecl
 // builds at a position depends only on the options and on the tokens from
-// there to one past the declaration's end (an opaque struct definition
-// looks for a trailing ';'). So a declaration is taken only when those
-// tokens match its old ones by kind and text, and only under the same
-// lexer options (a CUDA rewrite can remove a file's last "<<<"). The bytes
+// there to the declaration's end, or one past it for the declarations
+// whose parse looks there (readsPast: an opaque struct definition looks
+// for a trailing ';'). So a declaration is taken only when those tokens
+// match its old ones by kind and text, and only under the same lexer
+// options (a CUDA rewrite can remove a file's last "<<<"). The bytes
 // between its tokens must match too, since opaque nodes keep them. A plus
 // line that opens a comment or a string changes the tokens after it, so
 // the declarations there are parsed afresh.
@@ -77,7 +78,7 @@ func Reparse(name, src string, opts Options, prior Prior) (*cast.File, int, erro
 			if sameRun(old.Toks, first, last, lf, p.pos) {
 				after := p.pos + last - first + 1
 				next++
-				if sameToken(&old.Toks.Tokens[last+1], &lf.Tokens[after]) {
+				if !readsPast(old.Toks.Tokens, d) || sameToken(&old.Toks.Tokens[last+1], &lf.Tokens[after]) {
 					f.Decls = append(f.Decls, cast.ShiftDecl(d, p.pos-first, !prior.Owned))
 					p.pos = after
 					reused++

@@ -70,12 +70,12 @@ func TestReparseReusesUntouchedDecls(t *testing.T) {
 			ed.DeleteRange(i, i)
 			ed.Insert(i, transform.Inline, "two")
 		}, 3},
-		// The insertion is anchored on b, and it changes the token after a,
-		// so a is parsed again too.
+		// The insertion is anchored on b and changes the token after a,
+		// but a function's parse ends on its '}', so a is still taken.
 		{"insert a declaration between functions", func(f *cast.File, ed *transform.EditSet) {
 			first, _ := f.Decls[2].Span()
 			ed.Insert(first, transform.BeforeOwnLine, "static int k;")
-		}, 2},
+		}, 3},
 		{"delete a whole function", func(f *cast.File, ed *transform.EditSet) {
 			first, last := f.Decls[2].Span()
 			ed.DeleteRange(first, last)
@@ -121,6 +121,67 @@ func TestReparseLookaheadPastDecl(t *testing.T) {
 	})
 	if reused != 1 {
 		t.Errorf("reused %d declarations, want 1 (b: the struct's next token changed, the edit touched a)", reused)
+	}
+}
+
+// readsPast names exactly the declarations whose parse depends on what
+// follows them. For every top-level declaration of every generated shape
+// and of a set of opaque forms, the test re-parses it from its first token
+// with each of several texts after its last one: a declaration readsPast
+// clears must come out the same after every text, and one it flags must
+// come out differently after at least one.
+func TestReadsPastMatchesParser(t *testing.T) {
+	srcs := []string{
+		threeFuncs,
+		"struct P { int x; }\nint a;\nstruct Q { int y; };\nstruct R;\n",
+		"typedef struct { int a; } T;\nenum E { A, B }\nunion U { int i; float f; }",
+		"namespace n { int v; }\ntemplate <class T> struct S { T v; };\nextern \"C\" { int f(void); }\nextern \"C\" int g(void);\n",
+		"int f(void);\n;\n#define N 4\n#pragma omp parallel\nint v[N] = { 1, 2 }, *p;\nstruct S s;\nstruct S mk(int a) { S r; if (a) r.v = a; else r.v = (int)a; return r; }\n",
+		"struct open { int a;",
+		"int a;\nnamespace m { int b; } ;\ntypedef int (U;",
+		"extern \"C\" { int c;",
+		"class C : public B { int m() { return 1; } }",
+	}
+	for _, gen := range codegen.Shapes {
+		srcs = append(srcs, gen(codegen.Config{Funcs: 3, StmtsPerFunc: 3, Seed: 42}))
+	}
+	opts := Options{CPlusPlus: true, CUDA: true, Std: 17}
+	flagged := 0
+	for _, src := range srcs {
+		f, err := Parse("t.c", src, opts)
+		if err != nil {
+			t.Fatalf("%v\n%s", err, src)
+		}
+		for k, d := range f.Decls {
+			first, last := d.Span()
+			changed := ""
+			for _, after := range []string{"", ";", "}", "{", "x", "(", "else", "int y;"} {
+				text := src[:f.Toks.Tokens[last].End()] + "\n" + after
+				lf, err := ctoken.Lex("t.c", text, lexOptions(src, opts))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(lf.Tokens[:last+1], f.Toks.Tokens[:last+1]) {
+					t.Fatalf("declaration %d: cutting the text after it re-lexes it differently\n%s", k, text)
+				}
+				p := &parser{toks: lf.Tokens, file: lf, opts: opts, pos: first}
+				got, err := p.parseTopDecl()
+				if err != nil || !reflect.DeepEqual(got, d) {
+					changed = after
+				}
+			}
+			switch past := readsPast(f.Toks.Tokens, d); {
+			case past && changed == "":
+				t.Errorf("readsPast flags %q, but its parse is the same whatever follows it", f.Toks.Slice(first, last))
+			case !past && changed != "":
+				t.Errorf("readsPast clears %q, but its parse changes when %q follows it", f.Toks.Slice(first, last), changed)
+			case past:
+				flagged++
+			}
+		}
+	}
+	if flagged == 0 {
+		t.Error("no declaration read past its end; the test proves nothing")
 	}
 }
 

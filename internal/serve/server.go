@@ -359,20 +359,18 @@ func (srv *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	includeOutput := r.URL.Query().Get("output") == "1"
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
+	out := newStream(w)
+	defer out.flush()
+	enc := json.NewEncoder(out)
 	start := time.Now()
 	stats, err := s.Run(func(fr batch.CampaignFileResult) error {
 		if err := enc.Encode(fileLine(fr, includeOutput)); err != nil {
 			return err
 		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return nil
+		return out.fileDone()
 	})
 	if err != nil {
-		// Headers are already out; the error becomes the final line.
+		// The stream may have begun; the error becomes the final line.
 		srv.requests.errors.Add(1)
 		enc.Encode(RunLine{Error: err.Error()})
 		return
@@ -430,28 +428,29 @@ func (srv *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
+	out := newStream(w)
+	defer out.flush()
+	enc := json.NewEncoder(out)
 	start := time.Now()
 	total := 0
 	bySev := map[string]int{}
 	stats, err := s.Run(func(fr batch.CampaignFileResult) error {
 		if fr.Err != nil {
-			return enc.Encode(CheckLine{Error: fr.Err.Error()})
+			if err := enc.Encode(CheckLine{Error: fr.Err.Error()}); err != nil {
+				return err
+			}
+			return out.fileDone()
 		}
 		fs := fr.Findings()
 		analysis.Sort(fs)
-		if err := analysis.WriteNDJSON(w, fs); err != nil {
+		if err := analysis.WriteNDJSON(out, fs); err != nil {
 			return err
 		}
 		total += len(fs)
 		for sev, n := range analysis.CountBySeverity(fs) {
 			bySev[sev] += n
 		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return nil
+		return out.fileDone()
 	})
 	if err != nil {
 		srv.requests.errors.Add(1)

@@ -16,6 +16,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -23,6 +24,7 @@ import (
 
 	"repro/internal/codegen"
 	"repro/internal/cparse"
+	"repro/internal/patchlib"
 	"repro/internal/serve"
 )
 
@@ -267,10 +269,61 @@ func TestServeLibrary(t *testing.T) {
 	}
 }
 
+// TestServeWarmL1Sweep pins a warm session over an L1 corpus where every
+// file changes: at one worker and at one per CPU, a warm sweep replays
+// every file's result, diff hunks included, so it changes all 48 files
+// while it parses and reads none of them, and a warm single-file apply
+// changes its file.
+func TestServeWarmL1Sweep(t *testing.T) {
+	e, ok := patchlib.ByID("L1")
+	if !ok {
+		t.Fatal("experiment L1 missing")
+	}
+	p, err := ParsePatch("l1.cocci", e.Patch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const nfiles = 48
+	root := t.TempDir()
+	for i := 0; i < nfiles; i++ {
+		src := codegen.OpenMP(codegen.Config{Funcs: 8 + i%5, StmtsPerFunc: 3, Seed: int64(i + 1)})
+		if err := os.WriteFile(filepath.Join(root, fmt.Sprintf("src%02d.c", i)), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, w := range []int{1, runtime.NumCPU()} {
+		server := NewServer(Options{Workers: w})
+		defer server.Close()
+		sess, err := server.AddSession(SessionConfig{Root: root, Patches: []*Patch{p}, Options: Options{Workers: w}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sess.Run(nil); err != nil {
+			t.Fatal(err)
+		}
+		st, err := sess.Run(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Files != nfiles || st.Changed != nfiles || st.Parsed != 0 || st.Read != 0 {
+			t.Errorf("workers=%d: warm sweep changed %d of %d files, parsed %d, read %d; want %d, 0, 0",
+				w, st.Changed, st.Files, st.Parsed, st.Read, nfiles)
+		}
+		fr, err := sess.ApplyPath("src00.c")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !fr.Changed() {
+			t.Errorf("workers=%d: a warm apply did not change its file", w)
+		}
+	}
+}
+
 // TestServeCheckCLIParity is the check-mode acceptance pin: the NDJSON
 // finding lines streamed by POST /v1/sessions/{id}/check must be
 // byte-identical to what `gocci --check --format json` prints over the
-// same tree with the same patch.
+// same tree with the same patch, also when the stream is larger than the
+// daemon's write buffer and so reaches the client in several blocks.
 func TestServeCheckCLIParity(t *testing.T) {
 	const checkParityPatch = `// gocci:check id=legacy-call severity=warning msg="legacy call with n"
 @legacycall@
@@ -278,61 +331,88 @@ expression n, tag;
 @@
 * legacy_halo_exchange(n, tag);
 `
-	root := writeServeCorpus(t, 8)
 	patchPath := filepath.Join(t.TempDir(), "check.cocci")
 	if err := os.WriteFile(patchPath, []byte(checkParityPatch), 0o644); err != nil {
 		t.Fatal(err)
 	}
-
-	bin := buildTool(t, "gocci")
-	cmd := exec.Command(bin, "--check", "--format", "json", "-r", root, "--sp-file", patchPath)
-	cliOut, err := cmd.Output()
-	// Findings at warning severity with the default --fail-on error keep
-	// the exit status 0; any other failure is real.
-	if err != nil {
-		t.Fatalf("cli check: %v", err)
-	}
-	if len(cliOut) == 0 {
-		t.Fatal("cli check reported no findings; the corpus must trip the rule")
-	}
-
 	patch, err := ParsePatch("check.cocci", checkParityPatch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	server := NewServer(Options{Workers: 2})
-	defer server.Close()
-	if _, err := server.AddSession(SessionConfig{
-		ID:      "chk",
-		Root:    root,
-		Patches: []*Patch{patch},
-		Options: Options{Workers: 2},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(server.Handler())
-	defer ts.Close()
+	bin := buildTool(t, "gocci")
 
-	resp, err := http.Post(ts.URL+"/v1/sessions/chk/check", "application/json", nil)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name    string
+		root    string
+		minSize int // the least size of the finding lines
+	}{
+		{"small", writeServeCorpus(t, 8), 1},
+		{"past the stream buffer", writeCallCorpus(t, 48, 8), 64 << 10},
+	} {
+		cmd := exec.Command(bin, "--check", "--format", "json", "-r", tc.root, "--sp-file", patchPath)
+		cliOut, err := cmd.Output()
+		// Findings at warning severity with the default --fail-on error
+		// keep the exit status 0; any other failure is real.
+		if err != nil {
+			t.Fatalf("%s: cli check: %v", tc.name, err)
+		}
+		if len(cliOut) < tc.minSize {
+			t.Fatalf("%s: cli check printed %d bytes of findings, want %d or more", tc.name, len(cliOut), tc.minSize)
+		}
+
+		server := NewServer(Options{Workers: 2})
+		defer server.Close()
+		if _, err := server.AddSession(SessionConfig{
+			ID:      "chk",
+			Root:    tc.root,
+			Patches: []*Patch{patch},
+			Options: Options{Workers: 2},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(server.Handler())
+		defer ts.Close()
+
+		resp, err := http.Post(ts.URL+"/v1/sessions/chk/check", "application/json", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != 200 {
+			t.Fatalf("%s: check: status %d: %s", tc.name, resp.StatusCode, body)
+		}
+		// Drop the trailing summary line; everything before it must match
+		// the CLI stream byte for byte.
+		idx := strings.LastIndexByte(strings.TrimSuffix(string(body), "\n"), '\n')
+		if idx < 0 {
+			t.Fatalf("%s: check stream has no finding lines: %s", tc.name, body)
+		}
+		serveFindings := string(body)[:idx+1]
+		if serveFindings != string(cliOut) {
+			t.Errorf("%s: serve findings diverge from CLI findings:\n--- cli\n%s--- serve\n%s", tc.name, cliOut, serveFindings)
+		}
 	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// writeCallCorpus writes n files that each call the legacy API calls
+// times, so every file holds calls check findings.
+func writeCallCorpus(t *testing.T, n, calls int) string {
+	t.Helper()
+	root := t.TempDir()
+	for i := 0; i < n; i++ {
+		var b strings.Builder
+		fmt.Fprintf(&b, "void migrate_%d(int n)\n{\n", i)
+		for c := 0; c < calls; c++ {
+			fmt.Fprintf(&b, "\tlegacy_halo_exchange(n, %d);\n", c)
+		}
+		b.WriteString("}\n")
+		if err := os.WriteFile(filepath.Join(root, fmt.Sprintf("src%02d.c", i)), []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if resp.StatusCode != 200 {
-		t.Fatalf("check: status %d: %s", resp.StatusCode, body)
-	}
-	// Drop the trailing summary line; everything before it must match the
-	// CLI stream byte for byte.
-	idx := strings.LastIndexByte(strings.TrimSuffix(string(body), "\n"), '\n')
-	if idx < 0 {
-		t.Fatalf("check stream has no finding lines: %s", body)
-	}
-	serveFindings := string(body)[:idx+1]
-	if serveFindings != string(cliOut) {
-		t.Errorf("serve findings diverge from CLI findings:\n--- cli\n%s--- serve\n%s", cliOut, serveFindings)
-	}
+	return root
 }

@@ -18,10 +18,8 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/aossoa"
 	"repro/internal/codegen"
 	"repro/internal/hipify"
-	"repro/internal/instrument"
 	"repro/internal/patchlib"
 	"repro/internal/smpl"
 )
@@ -93,64 +91,6 @@ func BenchmarkPatchParse(b *testing.B) {
 	}
 }
 
-// S6 companion: the full AoS-to-SoA conversion pipeline (analysis +
-// generated patch + declaration replacement) on growing particle codes.
-func BenchmarkAoSSoAFull(b *testing.B) {
-	for _, funcs := range []int{2, 8, 32} {
-		src := codegen.AoS(codegen.Config{Funcs: funcs, StmtsPerFunc: 4, Seed: 10})
-		b.Run(fmt.Sprintf("funcs=%d", funcs), func(b *testing.B) {
-			b.SetBytes(int64(len(src)))
-			for i := 0; i < b.N; i++ {
-				if _, _, err := aossoa.Transform(src, "particle", "P"); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// Transitory instrumentation roundtrip: insert markers, then remove them
-// (L1 extended to the paper's revert workflow), per marker API.
-func BenchmarkInstrumentRoundtrip(b *testing.B) {
-	src := codegen.OpenMP(codegen.Config{Funcs: 8, StmtsPerFunc: 2, Seed: 12})
-	for _, name := range []string{"likwid", "scorep", "caliper"} {
-		api := instrument.APIs[name]
-		ins, err := instrument.InsertPatch(api, instrument.Selector{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		rem, err := instrument.RemovePatch(api, instrument.Selector{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(name, func(b *testing.B) {
-			pi, err := ParsePatch("i.cocci", ins)
-			if err != nil {
-				b.Fatal(err)
-			}
-			pr, err := ParsePatch("r.cocci", rem)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.SetBytes(int64(len(src)))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				r1, err := NewApplier(pi, Options{}).Apply(File{Name: "a.c", Src: src})
-				if err != nil {
-					b.Fatal(err)
-				}
-				r2, err := NewApplier(pr, Options{}).Apply(File{Name: "a.c", Src: r1.Outputs["a.c"]})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if r2.Outputs["a.c"] != src {
-					b.Fatal("roundtrip broke identity")
-				}
-			}
-		})
-	}
-}
-
 // Batch application: one patch across a many-file corpus, the paper's
 // whole-codebase scenario (e.g. acc2omp over a full OpenACC application).
 // workers=1 is the sequential baseline the parallel speedup is measured
@@ -191,82 +131,6 @@ func BenchmarkBatchApply(b *testing.B) {
 				}
 				if st.Changed != nfiles || st.Errors != 0 {
 					b.Fatalf("stats = %+v, want %d files changed", st, nfiles)
-				}
-			}
-		})
-	}
-}
-
-// Prefilter effect: batch apply over a corpus where ~90% of the files
-// cannot match the patch, the realistic shape of a whole-codebase run (the
-// paper's spatch+glimpse scenario). The prefilter rejects non-candidate
-// files from raw bytes without parsing them, so the "on" case should beat
-// "off" by a multiple; both must produce identical outputs, which the
-// benchmark verifies once up front (TestPrefilterParity covers the tricky
-// rule-dependency and virtual-rule cases exhaustively).
-func BenchmarkPrefilter(b *testing.B) {
-	patch := `@r@
-expression list el;
-@@
-- legacy_halo_exchange(el)
-+ halo_exchange_v2(el)
-`
-	p, err := ParsePatch("prefilter.cocci", patch)
-	if err != nil {
-		b.Fatal(err)
-	}
-	const nfiles = 100
-	files := make([]File, nfiles)
-	var total int64
-	matching := 0
-	for i := range files {
-		src := codegen.Mixed(codegen.Config{Funcs: 6 + i%4, StmtsPerFunc: 3, Seed: int64(i + 1)})
-		if i%10 == 0 { // ~10% of the corpus actually calls the legacy API
-			src += "\nvoid migrate_me(int n)\n{\n\tlegacy_halo_exchange(n, 0);\n}\n"
-			matching++
-		}
-		files[i] = File{Name: fmt.Sprintf("src%03d.c", i), Src: src}
-		total += int64(len(src))
-	}
-
-	// Outputs must be byte-identical with the filter on and off.
-	outOn := map[string]string{}
-	outOff := map[string]string{}
-	for _, cfg := range []struct {
-		out map[string]string
-		opt Options
-	}{{outOn, Options{Workers: 1}}, {outOff, Options{Workers: 1, NoPrefilter: true}}} {
-		if _, err := NewBatchApplier(p, cfg.opt).ApplyAllFunc(files, func(fr FileResult) error {
-			cfg.out[fr.Name] = fr.Output
-			return fr.Err
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	for name, on := range outOn {
-		if on != outOff[name] {
-			b.Fatalf("%s: prefilter changed the output", name)
-		}
-	}
-
-	for _, mode := range []struct {
-		name string
-		opts Options
-	}{
-		{"on", Options{Workers: 1}},
-		{"off", Options{Workers: 1, NoPrefilter: true}},
-	} {
-		b.Run("prefilter="+mode.name, func(b *testing.B) {
-			ba := NewBatchApplier(p, mode.opts)
-			b.SetBytes(total)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				st, err := ba.ApplyAllFunc(files, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if st.Changed != matching || st.Errors != 0 {
-					b.Fatalf("stats = %+v, want %d changed", st, matching)
 				}
 			}
 		})

@@ -47,7 +47,7 @@ func main() {
 				fatal(err)
 			}
 			for i, t := range lf.Tokens {
-				fmt.Printf("%4d %-10s %-8s %q\n", i, t.Pos, t.Kind, t.Text)
+				fmt.Printf("%4d %-10s %-8s %q\n", i, t.Pos, t.Kind, lf.Text(i))
 			}
 		case "ast":
 			f, err := cparse.Parse(path, src, opts)

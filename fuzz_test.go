@@ -74,11 +74,19 @@ func FuzzCParse(f *testing.F) {
 			return
 		}
 		toks := file.Toks
+		if toks.Src != src {
+			t.Fatalf("the lexed file's source is not the input")
+		}
+		end := 0
 		for i, tok := range toks.Tokens {
 			off := int(tok.Pos.Offset)
-			if off+len(tok.Text) > len(src) || src[off:off+len(tok.Text)] != tok.Text {
-				t.Fatalf("token %d %q is not the source at offset %d", i, tok.Text, off)
+			if off < end || tok.End() > len(src) {
+				t.Fatalf("token %d spans [%d, %d): before the previous token's end %d or past the source", i, off, tok.End(), end)
 			}
+			if got := toks.Text(i); got != src[off:tok.End()] {
+				t.Fatalf("token %d %q is not the source at offset %d", i, got, off)
+			}
+			end = tok.End()
 		}
 		if got := toks.Render(); got != src {
 			t.Fatalf("token stream does not render the source:\ngot:\n%q\nwant:\n%q\nfirst diff at %d",

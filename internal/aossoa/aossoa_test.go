@@ -108,20 +108,29 @@ func TestTransform(t *testing.T) {
 	}
 }
 
+// The generated particle codes are the densest token shape (about 1.8
+// bytes per token); the conversion must succeed at every size.
 func TestTransformGeneratedWorkload(t *testing.T) {
-	src := codegen.AoS(codegen.Config{Funcs: 4, StmtsPerFunc: 4, Seed: 9})
-	out, n, err := Transform(src, "particle", "P")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n == 0 {
-		t.Fatal("no accesses rewritten")
-	}
-	if strings.Contains(out, "P[i].") {
-		t.Errorf("AoS accesses remain:\n%s", out)
-	}
-	if _, err := cparse.Parse("soa.c", out, cparse.Options{}); err != nil {
-		t.Errorf("output does not parse: %v", err)
+	for _, cfg := range []codegen.Config{
+		{Funcs: 4, StmtsPerFunc: 4, Seed: 9},
+		{Funcs: 2, StmtsPerFunc: 4, Seed: 10},
+		{Funcs: 8, StmtsPerFunc: 4, Seed: 10},
+		{Funcs: 32, StmtsPerFunc: 4, Seed: 10},
+	} {
+		src := codegen.AoS(cfg)
+		out, n, err := Transform(src, "particle", "P")
+		if err != nil {
+			t.Fatalf("%+v: %v", cfg, err)
+		}
+		if n == 0 {
+			t.Fatalf("%+v: no accesses rewritten", cfg)
+		}
+		if strings.Contains(out, "P[i].") {
+			t.Errorf("%+v: AoS accesses remain:\n%s", cfg, out)
+		}
+		if _, err := cparse.Parse("soa.c", out, cparse.Options{}); err != nil {
+			t.Errorf("%+v: output does not parse: %v", cfg, err)
+		}
 	}
 }
 

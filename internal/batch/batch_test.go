@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/cache"
+	"repro/internal/codegen"
 	"repro/internal/core"
 	"repro/internal/smpl"
 )
@@ -441,6 +442,36 @@ func TestPrefilterParity(t *testing.T) {
 			}
 		})
 	}
+	// A whole-codebase shape: 100 generated files, every tenth of which
+	// calls the API the patch migrates. The outputs are byte-identical with
+	// the prefilter on and off, and both runs change exactly those ten.
+	t.Run("mixed-corpus", func(t *testing.T) {
+		files := make([]core.SourceFile, 100)
+		for i := range files {
+			src := codegen.Mixed(codegen.Config{Funcs: 6 + i%4, StmtsPerFunc: 3, Seed: int64(i + 1)})
+			if i%10 == 0 {
+				src += "\nvoid migrate_me(int n)\n{\n\tlegacy_halo_exchange(n, 0);\n}\n"
+			}
+			files[i] = core.SourceFile{Name: fmt.Sprintf("src%03d.c", i), Src: src}
+		}
+		p := parsePatch(t, "@r@\nexpression list el;\n@@\n- legacy_halo_exchange(el)\n+ halo_exchange_v2(el)\n")
+		var outs [2][]string
+		for k, noPrefilter := range []bool{false, true} {
+			st, err := single(p, Options{Workers: 2, NoPrefilter: noPrefilter}).Collect(files, func(fr CampaignFileResult) error {
+				outs[k] = append(outs[k], fr.Output)
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Changed != 10 || st.Errors != 0 {
+				t.Errorf("NoPrefilter=%v: stats = %+v, want 10 changed and no errors", noPrefilter, st)
+			}
+		}
+		if !reflect.DeepEqual(outs[0], outs[1]) {
+			t.Error("the prefilter changed an output")
+		}
+	})
 }
 
 // TestPrefilterSkippedStats pins the Skipped accounting: skipped files count

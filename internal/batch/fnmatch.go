@@ -173,13 +173,13 @@ func resHash(segs *cast.Segmentation) string {
 func resTokHash(segs *cast.Segmentation) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "restok\x00%d", len(segs.Funcs))
-	toks := segs.File.Toks.Tokens
+	toks := segs.File.Toks
 	for i := 0; i <= len(segs.Funcs); i++ {
 		sb.WriteByte('\x1e')
 		a, b := segs.GapBounds(i)
 		for j := a; j <= b; j++ {
 			sb.WriteByte('\x1f')
-			sb.WriteString(toks[j].Text)
+			sb.WriteString(toks.Text(j))
 		}
 	}
 	return cache.HashString(sb.String())

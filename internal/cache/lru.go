@@ -18,6 +18,7 @@ type LRU[V any] struct {
 	entries map[string]*list.Element
 	hits    int64
 	misses  int64
+	evicted int64
 }
 
 type lruEntry[V any] struct {
@@ -68,6 +69,7 @@ func (l *LRU[V]) Add(key string, val V) {
 		back := l.order.Back()
 		l.order.Remove(back)
 		delete(l.entries, back.Value.(*lruEntry[V]).key)
+		l.evicted++
 	}
 }
 
@@ -85,7 +87,15 @@ func (l *LRU[V]) HitsMisses() (hits, misses int64) {
 	return l.hits, l.misses
 }
 
-// Clear drops every entry (hit/miss counters are kept).
+// Evictions reports how many entries Add dropped to stay within the bound.
+// Entries Clear drops are not counted.
+func (l *LRU[V]) Evictions() int64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.evicted
+}
+
+// Clear drops every entry (hit, miss and eviction counters are kept).
 func (l *LRU[V]) Clear() {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -105,3 +105,24 @@ func TestMemoryConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// The LRU counts the entries it drops to stay within its bound, but not
+// refreshes of resident keys or a Clear.
+func TestLRUCountsEvictions(t *testing.T) {
+	l := NewLRU[int](2, 0)
+	l.Add("a", 1)
+	l.Add("b", 2)
+	l.Add("a", 3) // refresh, no eviction
+	if n := l.Evictions(); n != 0 {
+		t.Fatalf("evictions after a refresh = %d, want 0", n)
+	}
+	l.Add("c", 4) // evicts b
+	l.Add("d", 5) // evicts a
+	if n := l.Evictions(); n != 2 {
+		t.Errorf("evictions = %d, want 2", n)
+	}
+	l.Clear()
+	if n := l.Evictions(); n != 2 {
+		t.Errorf("evictions after Clear = %d, want 2", n)
+	}
+}

@@ -18,7 +18,7 @@ func (p *parser) parseTopDecl() (cast.Decl, error) {
 
 	// Opaque constructs we preserve but do not model.
 	if tok.Kind == ctoken.Ident {
-		switch tok.Text {
+		switch p.text() {
 		case "typedef", "using":
 			// Terminated by ';' even after a braced body: typedef struct {...} name;
 			return p.parseOpaqueDecl(start, false)
@@ -120,10 +120,10 @@ func (p *parser) parseTopDecl() (cast.Decl, error) {
 // union/enum/class *definition* (ending in braces) rather than a type use.
 func (p *parser) structLikeDefinition() bool {
 	i := 1
-	if p.peek(i).Kind == ctoken.Ident && !ctoken.Keywords[p.peek(i).Text] {
+	if p.peek(i).Kind == ctoken.Ident && !ctoken.Keywords[p.peekText(i)] {
 		i++
 	}
-	return p.peek(i).Is("{") || p.peek(i).Is(";") || p.peek(i).Is(":")
+	return p.peekIs(i, "{") || p.peekIs(i, ";") || p.peekIs(i, ":")
 }
 
 // parseOpaqueDecl consumes a balanced top-level construct. With endAtBrace,
@@ -134,16 +134,15 @@ func (p *parser) parseOpaqueDecl(start int, endAtBrace bool) (cast.Decl, error) 
 	depth := 0
 	sawBrace := false
 	for !p.at(ctoken.EOF) {
-		t := p.tok()
 		switch {
-		case t.Is("{") || t.Is("(") || t.Is("["):
+		case p.is("{") || p.is("(") || p.is("["):
 			depth++
-			if t.Is("{") {
+			if p.is("{") {
 				sawBrace = true
 			}
-		case t.Is("}") || t.Is(")") || t.Is("]"):
+		case p.is("}") || p.is(")") || p.is("]"):
 			depth--
-			if depth == 0 && t.Is("}") && endAtBrace {
+			if depth == 0 && p.is("}") && endAtBrace {
 				p.next()
 				if p.is(";") {
 					p.next()
@@ -152,7 +151,7 @@ func (p *parser) parseOpaqueDecl(start int, endAtBrace bool) (cast.Decl, error) 
 				setSpan(d, start, p.prev())
 				return d, nil
 			}
-		case t.Is(";") && depth == 0:
+		case p.is(";") && depth == 0:
 			p.next()
 			d := &cast.OpaqueDecl{Raw: p.file.Slice(start, p.prev())}
 			setSpan(d, start, p.prev())
@@ -176,22 +175,22 @@ func (p *parser) parseOpaqueDecl(start int, endAtBrace bool) (cast.Decl, error) 
 // token the parser consumed without looking further: a function's '}' or
 // ';', a variable's ';', a lone ';', a directive line. The statement and
 // expression look-aheads inside a function stop at its closing '}'.
-func readsPast(toks []ctoken.Token, d cast.Decl) bool {
+func readsPast(f *ctoken.File, d cast.Decl) bool {
 	if _, ok := d.(*cast.OpaqueDecl); !ok {
 		return false
 	}
 	first, last := d.Span()
-	if !toks[last].Is(";") {
+	if !f.Is(last, ";") {
 		return true
 	}
 	// The depth parseOpaqueDecl counted: a ';' inside an open group did not
 	// end the construct, so it ran on to the EOF.
 	depth := 0
 	for k := first; k < last; k++ {
-		switch t := &toks[k]; {
-		case t.Is("{") || t.Is("(") || t.Is("["):
+		switch {
+		case f.Is(k, "{") || f.Is(k, "(") || f.Is(k, "["):
 			depth++
-		case t.Is("}") || t.Is(")") || t.Is("]"):
+		case f.Is(k, "}") || f.Is(k, ")") || f.Is(k, "]"):
 			depth--
 		}
 	}
@@ -202,8 +201,7 @@ func readsPast(toks []ctoken.Token, d cast.Decl) bool {
 // mode, pragma and include lines become pattern nodes with wildcard support.
 func (p *parser) parsePP() (cast.Decl, error) {
 	start := p.pos
-	t := p.next()
-	text := t.Text
+	text := p.nextText()
 	rest := strings.TrimSpace(strings.TrimPrefix(text, "#"))
 	switch {
 	case strings.HasPrefix(rest, "include"):
@@ -324,7 +322,7 @@ func (p *parser) parseType() (*cast.Type, error) {
 	}
 
 	for p.tok().Kind == ctoken.Ident {
-		t := p.tok().Text
+		t := p.text()
 		switch {
 		case qual(t):
 			ty.Quals = append(ty.Quals, t)
@@ -336,7 +334,7 @@ func (p *parser) parseType() (*cast.Type, error) {
 			base = append(base, t)
 			p.next()
 			if p.tok().Kind == ctoken.Ident {
-				base = append(base, p.next().Text)
+				base = append(base, p.nextText())
 			}
 		default:
 			// Metavariable of kind type?
@@ -377,7 +375,7 @@ func (p *parser) parseType() (*cast.Type, error) {
 	}
 done:
 	if len(base) == 0 && len(ty.Quals) == 0 {
-		return nil, p.errHere("expected type, found %q", p.tok().Text)
+		return nil, p.errHere("expected type, found %q", p.text())
 	}
 	if len(base) == 0 {
 		base = append(base, "int") // e.g. "unsigned" alone handled above; bare quals default
@@ -391,7 +389,7 @@ done:
 func (p *parser) qualifiedName(base *[]string) {
 	for p.is("::") && p.peek(1).Kind == ctoken.Ident {
 		p.next()
-		(*base)[len(*base)-1] += "::" + p.next().Text
+		(*base)[len(*base)-1] += "::" + p.nextText()
 	}
 }
 
@@ -402,22 +400,21 @@ func (p *parser) tryTemplateArgs() (string, bool) {
 	depth := 0
 	start := p.pos
 	for !p.at(ctoken.EOF) {
-		t := p.tok()
-		if t.Is("<") {
+		if p.is("<") {
 			depth++
-		} else if t.Is(">") {
+		} else if p.is(">") {
 			depth--
 			if depth == 0 {
 				p.next()
 				return p.file.Slice(start, p.prev()), true
 			}
-		} else if t.Is(">>") && depth >= 2 {
+		} else if p.is(">>") && depth >= 2 {
 			depth -= 2
 			if depth == 0 {
 				p.next()
 				return p.file.Slice(start, p.prev()), true
 			}
-		} else if t.Is(";") || t.Is("{") || t.Is("}") || t.Kind == ctoken.PP {
+		} else if p.is(";") || p.is("{") || p.is("}") || p.at(ctoken.PP) {
 			break
 		}
 		p.next()
@@ -429,10 +426,10 @@ func (p *parser) tryTemplateArgs() (string, bool) {
 // parseDeclName parses the declared identifier (plain or metavariable).
 func (p *parser) parseDeclName() (*cast.Ident, error) {
 	if p.tok().Kind != ctoken.Ident {
-		return nil, p.errHere("expected identifier, found %q", p.tok().Text)
+		return nil, p.errHere("expected identifier, found %q", p.text())
 	}
 	start := p.pos
-	id := &cast.Ident{Name: p.next().Text}
+	id := &cast.Ident{Name: p.nextText()}
 	setSpan(id, start, start)
 	return id, nil
 }
@@ -453,18 +450,18 @@ func (p *parser) parseParamList() (*cast.ParamList, error) {
 	// metavariable likewise stands for all parameters.
 	for {
 		if p.is("...") {
-			if p.opts.pattern() && len(pl.Params) == 0 && p.peek(1).Is(")") {
+			if p.opts.pattern() && len(pl.Params) == 0 && p.peekIs(1, ")") {
 				pl.MetaDots = true
 			} else {
 				pl.Variadic = true
 			}
 			p.next()
-		} else if p.tok().Kind == ctoken.Ident && p.isMeta(p.tok().Text, cast.MetaParamListKind) {
+		} else if p.tok().Kind == ctoken.Ident && p.isMeta(p.text(), cast.MetaParamListKind) {
 			ps := p.pos
-			prm := &cast.Param{MetaName: p.next().Text}
+			prm := &cast.Param{MetaName: p.nextText()}
 			setSpan(prm, ps, ps)
 			pl.Params = append(pl.Params, prm)
-		} else if p.isIdent("void") && p.peek(1).Is(")") {
+		} else if p.isIdent("void") && p.peekIs(1, ")") {
 			p.next()
 		} else {
 			prm, err := p.parseParam()
@@ -501,9 +498,9 @@ func (p *parser) parseParam() (*cast.Param, error) {
 		p.next()
 	}
 	prm := &cast.Param{Type: ty}
-	if p.tok().Kind == ctoken.Ident && !ctoken.Keywords[p.tok().Text] {
+	if p.tok().Kind == ctoken.Ident && !ctoken.Keywords[p.text()] {
 		nstart := p.pos
-		prm.Name = &cast.Ident{Name: p.next().Text}
+		prm.Name = &cast.Ident{Name: p.nextText()}
 		setSpan(prm.Name, nstart, nstart)
 	}
 	// array suffixes

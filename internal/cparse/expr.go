@@ -54,15 +54,15 @@ func (p *parser) parseBinRHS(start int, lhs cast.Expr, minPrec int) (cast.Expr, 
 
 		// SmPL escaped conjunction/disjunction closing or separators end the
 		// expression, as do their column-zero forms.
-		if t.Is("\\)") || t.Is("\\|") || t.Is("\\&") {
+		if p.is("\\)") || p.is("\\|") || p.is("\\&") {
 			return lhs, nil
 		}
-		if p.opts.pattern() && t.Pos.Col == 1 && (t.Is("|") || t.Is("&") || t.Is(")") || t.Is("(")) {
+		if p.opts.pattern() && t.Pos.Col == 1 && (p.is("|") || p.is("&") || p.is(")") || p.is("(")) {
 			return lhs, nil
 		}
 
 		// Ternary conditional.
-		if t.Is("?") && precCond >= minPrec {
+		if p.is("?") && precCond >= minPrec {
 			p.next()
 			then, err := p.parseExpr(precComma + 1)
 			if err != nil {
@@ -82,7 +82,7 @@ func (p *parser) parseBinRHS(start int, lhs cast.Expr, minPrec int) (cast.Expr, 
 		}
 
 		// Comma expression (sequence), only at the loosest level.
-		if t.Is(",") && minPrec == precComma {
+		if p.is(",") && minPrec == precComma {
 			list := []cast.Expr{lhs}
 			for p.is(",") {
 				p.next()
@@ -97,11 +97,11 @@ func (p *parser) parseBinRHS(start int, lhs cast.Expr, minPrec int) (cast.Expr, 
 			return ce, nil
 		}
 
-		prec, ok := binPrec[t.Text]
+		prec, ok := binPrec[p.text()]
 		if !ok || t.Kind != ctoken.Punct || prec < minPrec {
 			return lhs, nil
 		}
-		op := t.Text
+		op := p.text()
 		p.next()
 		nextMin := prec + 1
 		if rightAssoc(prec) {
@@ -127,28 +127,28 @@ func (p *parser) parseUnary() (cast.Expr, error) {
 	t := p.tok()
 
 	// SmPL expression dots: "..." as a wildcard expression.
-	if p.opts.pattern() && t.Is("...") {
+	if p.opts.pattern() && p.is("...") {
 		p.next()
 		d := &cast.Dots{}
 		setSpan(d, start, start)
 		return d, nil
 	}
 	// SmPL escaped groups in expression position.
-	if p.opts.pattern() && t.Is("\\(") {
+	if p.opts.pattern() && p.is("\\(") {
 		return p.parseExprGroup()
 	}
 	// Column-zero parentheses form a disjunction in expression position too
 	// (used inside attribute argument patterns) — but only when the group
 	// really contains a column-zero separator; "(...)" wrapped to a new line
 	// is ordinary syntax.
-	if p.opts.pattern() && t.Is("(") && t.Pos.Col == 1 && p.colGroupIsDisj() {
+	if p.opts.pattern() && p.is("(") && t.Pos.Col == 1 && p.colGroupIsDisj() {
 		return p.parseColDisjExpr()
 	}
 
 	switch {
-	case t.Is("++") || t.Is("--") || t.Is("!") || t.Is("~") || t.Is("-") ||
-		t.Is("+") || t.Is("*") || t.Is("&"):
-		op := t.Text
+	case p.is("++") || p.is("--") || p.is("!") || p.is("~") || p.is("-") ||
+		p.is("+") || p.is("*") || p.is("&"):
+		op := p.text()
 		p.next()
 		x, err := p.parseUnary()
 		if err != nil {
@@ -157,7 +157,7 @@ func (p *parser) parseUnary() (cast.Expr, error) {
 		u := &cast.UnaryExpr{Op: op, X: x}
 		setSpan(u, start, p.prev())
 		return u, nil
-	case t.IsIdent("sizeof"):
+	case p.isIdent("sizeof"):
 		p.next()
 		se := &cast.SizeofExpr{}
 		if p.is("(") && p.typeAhead(1) {
@@ -183,7 +183,7 @@ func (p *parser) parseUnary() (cast.Expr, error) {
 		}
 		setSpan(se, start, p.prev())
 		return se, nil
-	case t.Is("(") && p.castAhead():
+	case p.is("(") && p.castAhead():
 		p.next()
 		ty, err := p.parseType()
 		if err != nil {
@@ -220,9 +220,9 @@ func (p *parser) castAhead() bool {
 		if t.Kind == ctoken.EOF {
 			return false
 		}
-		if t.Is("(") {
+		if p.peekIs(i, "(") {
 			depth++
-		} else if t.Is(")") {
+		} else if p.peekIs(i, ")") {
 			depth--
 			if depth == 0 {
 				break
@@ -232,14 +232,14 @@ func (p *parser) castAhead() bool {
 	}
 	after := p.peek(i + 1)
 	// A cast is followed by a unary expression start.
-	if after.Kind == ctoken.Ident && !ctoken.Keywords[after.Text] {
+	if after.Kind == ctoken.Ident && !ctoken.Keywords[p.peekText(i+1)] {
 		return true
 	}
 	if after.Kind == ctoken.IntLit || after.Kind == ctoken.FloatLit ||
 		after.Kind == ctoken.StringLit || after.Kind == ctoken.CharLit {
 		return true
 	}
-	if after.Is("(") || after.Is("-") || after.Is("*") || after.Is("&") || after.Is("!") || after.Is("~") {
+	if p.peekIs(i+1, "(") || p.peekIs(i+1, "-") || p.peekIs(i+1, "*") || p.peekIs(i+1, "&") || p.peekIs(i+1, "!") || p.peekIs(i+1, "~") {
 		// "(x)(y)" would be a call on parenthesized expr; require the inner
 		// tokens to look like a type.
 		return p.strictTypeAhead(1, i)
@@ -249,14 +249,14 @@ func (p *parser) castAhead() bool {
 
 // typeAhead reports whether tokens starting at offset form a type name.
 func (p *parser) typeAhead(off int) bool {
-	t := p.peek(off)
-	if t.Kind != ctoken.Ident {
+	if p.peek(off).Kind != ctoken.Ident {
 		return false
 	}
-	if ctoken.TypeKeywords[t.Text] {
+	name := p.peekText(off)
+	if ctoken.TypeKeywords[name] {
 		return true
 	}
-	if p.isMeta(t.Text, cast.MetaTypeKind) {
+	if p.isMeta(name, cast.MetaTypeKind) {
 		return true
 	}
 	return false
@@ -267,12 +267,12 @@ func (p *parser) strictTypeAhead(from, to int) bool {
 	for i := from; i < to; i++ {
 		t := p.peek(i)
 		if t.Kind == ctoken.Ident {
-			if !ctoken.TypeKeywords[t.Text] && !p.isMeta(t.Text, cast.MetaTypeKind) {
+			if name := p.peekText(i); !ctoken.TypeKeywords[name] && !p.isMeta(name, cast.MetaTypeKind) {
 				return false
 			}
 			continue
 		}
-		if t.Is("*") || t.Is("const") {
+		if p.peekIs(i, "*") || p.peekIs(i, "const") {
 			continue
 		}
 		return false
@@ -325,14 +325,14 @@ func (p *parser) colGroupIsDisj() bool {
 			return false
 		}
 		switch {
-		case t.Is("("):
+		case p.peekIs(i, "("):
 			depth++
-		case t.Is(")"):
+		case p.peekIs(i, ")"):
 			depth--
 			if depth == 0 {
 				return false
 			}
-		case (t.Is("|") || t.Is("&")) && t.Pos.Col == 1 && depth == 1:
+		case (p.peekIs(i, "|") || p.peekIs(i, "&")) && t.Pos.Col == 1 && depth == 1:
 			return true
 		}
 	}
@@ -352,9 +352,9 @@ func (p *parser) parseColDisjExpr() (cast.Expr, error) {
 		d.Branches = append(d.Branches, e)
 		t := p.tok()
 		switch {
-		case t.Is("|") && t.Pos.Col == 1:
+		case p.is("|") && t.Pos.Col == 1:
 			p.next()
-		case t.Is(")") && t.Pos.Col == 1:
+		case p.is(")") && t.Pos.Col == 1:
 			p.next()
 			setSpan(d, start, p.prev())
 			return d, nil
@@ -378,11 +378,11 @@ func (p *parser) parsePostfixFrom(x cast.Expr) (cast.Expr, error) {
 		t := p.tok()
 		// A column-zero paren opening a real disjunction group ends the
 		// postfix chain (it belongs to the enclosing pattern).
-		if p.opts.pattern() && t.Is("(") && t.Pos.Col == 1 && p.colGroupIsDisj() {
+		if p.opts.pattern() && p.is("(") && t.Pos.Col == 1 && p.colGroupIsDisj() {
 			return x, nil
 		}
 		switch {
-		case t.Is("("):
+		case p.is("("):
 			p.next()
 			call := &cast.CallExpr{Fun: x}
 			for !p.is(")") && !p.at(ctoken.EOF) {
@@ -402,7 +402,7 @@ func (p *parser) parsePostfixFrom(x cast.Expr) (cast.Expr, error) {
 			}
 			setSpan(call, start, p.prev())
 			x = call
-		case t.Is("["):
+		case p.is("["):
 			p.next()
 			idx := &cast.IndexExpr{X: x}
 			for !p.is("]") && !p.at(ctoken.EOF) {
@@ -445,22 +445,21 @@ func (p *parser) parsePostfixFrom(x cast.Expr) (cast.Expr, error) {
 			}
 			setSpan(idx, start, p.prev())
 			x = idx
-		case t.Is(".") || t.Is("->") || t.Is("::"):
-			op := t.Text
+		case p.is(".") || p.is("->") || p.is("::"):
+			op := p.text()
 			p.next()
 			if p.tok().Kind != ctoken.Ident {
 				return nil, p.errHere("expected member name after %q", op)
 			}
 			nameTok := p.pos
-			m := &cast.MemberExpr{X: x, Op: op, Name: p.next().Text, NameT: nameTok}
+			m := &cast.MemberExpr{X: x, Op: op, Name: p.nextText(), NameT: nameTok}
 			setSpan(m, start, p.prev())
 			x = m
-		case t.Is("++") || t.Is("--"):
-			p.next()
-			u := &cast.UnaryExpr{Op: t.Text, X: x, Postfix: true}
+		case p.is("++") || p.is("--"):
+			u := &cast.UnaryExpr{Op: p.nextText(), X: x, Postfix: true}
 			setSpan(u, start, p.prev())
 			x = u
-		case t.Is("<<<"):
+		case p.is("<<<"):
 			p.next()
 			kl := &cast.KernelLaunch{Fun: x}
 			for !p.is(">>>") && !p.at(ctoken.EOF) {
@@ -518,9 +517,9 @@ func (p *parser) parseCallArg() (cast.Expr, error) {
 			return d, nil
 		}
 		if p.tok().Kind == ctoken.Ident {
-			if p.isMeta(p.tok().Text, cast.MetaExprListKind) && (p.peek(1).Is(",") || p.peek(1).Is(")")) {
+			if p.isMeta(p.text(), cast.MetaExprListKind) && (p.peekIs(1, ",") || p.peekIs(1, ")")) {
 				s := p.pos
-				me := &cast.MetaExpr{Name: p.next().Text, Kind: cast.MetaExprListKind}
+				me := &cast.MetaExpr{Name: p.nextText(), Kind: cast.MetaExprListKind}
 				setSpan(me, s, s)
 				return me, nil
 			}
@@ -537,18 +536,17 @@ func (p *parser) parseCallArg() (cast.Expr, error) {
 	start := p.pos
 	depth := 0
 	for !p.at(ctoken.EOF) {
-		t := p.tok()
 		switch {
-		case t.Is("(") || t.Is("[") || t.Is("{"):
+		case p.is("(") || p.is("[") || p.is("{"):
 			depth++
-		case t.Is(")") || t.Is("]") || t.Is("}"):
+		case p.is(")") || p.is("]") || p.is("}"):
 			if depth == 0 {
 				goto done
 			}
 			depth--
-		case (t.Is(",") || t.Is(">>>")) && depth == 0:
+		case (p.is(",") || p.is(">>>")) && depth == 0:
 			goto done
-		case t.Is(";"):
+		case p.is(";"):
 			// a semicolon can only appear inside braces here
 			if depth == 0 {
 				goto done
@@ -571,18 +569,19 @@ done:
 func (p *parser) parsePrimary() (cast.Expr, error) {
 	start := p.pos
 	t := p.tok()
+	text := p.text()
 	switch t.Kind {
 	case ctoken.IntLit, ctoken.FloatLit, ctoken.CharLit, ctoken.StringLit:
 		p.next()
-		b := &cast.BasicLit{Kind: t.Kind, Value: t.Text}
+		b := &cast.BasicLit{Kind: t.Kind, Value: text}
 		setSpan(b, start, start)
 		return b, nil
 	case ctoken.Ident:
-		if ctoken.Keywords[t.Text] {
-			switch t.Text {
+		if ctoken.Keywords[text] {
+			switch text {
 			case "true", "false", "nullptr":
 				p.next()
-				b := &cast.BasicLit{Kind: ctoken.Ident, Value: t.Text}
+				b := &cast.BasicLit{Kind: ctoken.Ident, Value: text}
 				setSpan(b, start, start)
 				return b, nil
 			case "new", "delete":
@@ -598,30 +597,30 @@ func (p *parser) parsePrimary() (cast.Expr, error) {
 				if err != nil {
 					return nil, err
 				}
-				u := &cast.UnaryExpr{Op: t.Text, X: x}
+				u := &cast.UnaryExpr{Op: text, X: x}
 				setSpan(u, start, p.prev())
 				return u, nil
 			case "operator", "template", "typename", "class", "struct":
-				return nil, p.errHere("unsupported keyword %q in expression", t.Text)
+				return nil, p.errHere("unsupported keyword %q in expression", text)
 			}
 		}
 		p.next()
 		// Metavariable?
-		if k, ok := p.metaKind(t.Text); ok {
-			me := &cast.MetaExpr{Name: t.Text, Kind: k}
+		if k, ok := p.metaKind(text); ok {
+			me := &cast.MetaExpr{Name: text, Kind: k}
 			// @position attachments
 			for p.is("@") && p.peek(1).Kind == ctoken.Ident {
 				p.next()
-				me.Positions = append(me.Positions, p.next().Text)
+				me.Positions = append(me.Positions, p.nextText())
 			}
 			setSpan(me, start, p.prev())
 			return me, nil
 		}
-		id := &cast.Ident{Name: t.Text}
+		id := &cast.Ident{Name: text}
 		setSpan(id, start, start)
 		return id, nil
 	case ctoken.Punct:
-		if t.Is("(") {
+		if p.is("(") {
 			p.next()
 			e, err := p.parseExpr(precComma)
 			if err != nil {
@@ -634,14 +633,14 @@ func (p *parser) parsePrimary() (cast.Expr, error) {
 			setSpan(pe, start, p.prev())
 			return pe, nil
 		}
-		if t.Is("{") {
+		if p.is("{") {
 			return p.parseInitList()
 		}
-		if t.Is("[") && p.opts.CPlusPlus {
+		if p.is("[") && p.opts.CPlusPlus {
 			return p.parseLambda()
 		}
 	}
-	return nil, p.errHere("unexpected token %q in expression", t.Text)
+	return nil, p.errHere("unexpected token %q in expression", text)
 }
 
 // parseLambda parses a C++ lambda shallowly.

@@ -160,27 +160,36 @@ type parser struct {
 }
 
 func (p *parser) tok() ctoken.Token     { return p.toks[p.pos] }
+func (p *parser) text() string          { return p.file.Text(p.pos) }
 func (p *parser) at(k ctoken.Kind) bool { return p.toks[p.pos].Kind == k }
-func (p *parser) peek(n int) ctoken.Token {
-	if p.pos+n < len(p.toks) {
-		return p.toks[p.pos+n]
-	}
-	return p.toks[len(p.toks)-1]
-}
 
-func (p *parser) is(text string) bool   { return p.tok().Is(text) }
-func (p *parser) isIdent(s string) bool { return p.tok().IsIdent(s) }
-func (p *parser) next() ctoken.Token {
-	t := p.toks[p.pos]
+// ahead returns the index of the token n places ahead, or of the EOF
+// token if that lies past the end.
+func (p *parser) ahead(n int) int { return min(p.pos+n, len(p.toks)-1) }
+
+func (p *parser) peek(n int) ctoken.Token        { return p.toks[p.ahead(n)] }
+func (p *parser) peekText(n int) string          { return p.file.Text(p.ahead(n)) }
+func (p *parser) peekIs(n int, text string) bool { return p.file.Is(p.ahead(n), text) }
+func (p *parser) is(text string) bool            { return p.file.Is(p.pos, text) }
+func (p *parser) isIdent(s string) bool          { return p.file.IsIdent(p.pos, s) }
+
+// next consumes the current token; the parser stays on the EOF token.
+func (p *parser) next() {
 	if p.pos < len(p.toks)-1 {
 		p.pos++
 	}
-	return t
+}
+
+// nextText consumes the current token and returns its text.
+func (p *parser) nextText() string {
+	s := p.text()
+	p.next()
+	return s
 }
 
 func (p *parser) expect(text string) (int, error) {
 	if !p.is(text) {
-		return 0, p.errHere("expected %q, found %q", text, p.tok().Text)
+		return 0, p.errHere("expected %q, found %q", text, p.text())
 	}
 	i := p.pos
 	p.next()

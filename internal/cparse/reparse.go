@@ -78,7 +78,7 @@ func Reparse(name, src string, opts Options, prior Prior) (*cast.File, int, erro
 			if sameRun(old.Toks, first, last, lf, p.pos) {
 				after := p.pos + last - first + 1
 				next++
-				if !readsPast(old.Toks.Tokens, d) || sameToken(&old.Toks.Tokens[last+1], &lf.Tokens[after]) {
+				if !readsPast(old.Toks, d) || sameToken(old.Toks, last+1, lf, after) {
 					f.Decls = append(f.Decls, cast.ShiftDecl(d, p.pos-first, !prior.Owned))
 					p.pos = after
 					reused++
@@ -148,11 +148,15 @@ func sameRun(a *ctoken.File, af, al int, b *ctoken.File, bf int) bool {
 	a0, b0 := at[0].Pos.Offset, bt[0].Pos.Offset
 	for k := range at {
 		x, y := &at[k], &bt[k]
-		if x.Kind != y.Kind || len(x.Text) != len(y.Text) || x.Pos.Offset-a0 != y.Pos.Offset-b0 {
+		if x.Kind != y.Kind || x.Len != y.Len || x.Pos.Offset-a0 != y.Pos.Offset-b0 {
 			return false
 		}
 	}
 	return a.Src[a0:at[len(at)-1].End()] == b.Src[b0:bt[len(bt)-1].End()]
 }
 
-func sameToken(x, y *ctoken.Token) bool { return x.Kind == y.Kind && x.Text == y.Text }
+// sameToken reports whether token i of a and token j of b have the same
+// kind and text.
+func sameToken(a *ctoken.File, i int, b *ctoken.File, j int) bool {
+	return a.Tokens[i].Kind == b.Tokens[j].Kind && a.Text(i) == b.Text(j)
+}

@@ -45,8 +45,8 @@ func reparseEdit(t *testing.T, src string, opts Options, owned bool, edit func(f
 // tokenOf returns the index of the first token with the given text.
 func tokenOf(t *testing.T, f *cast.File, text string) int {
 	t.Helper()
-	for i, tok := range f.Toks.Tokens {
-		if tok.Text == text {
+	for i := range f.Toks.Tokens {
+		if f.Toks.Text(i) == text {
 			return i
 		}
 	}
@@ -170,7 +170,7 @@ func TestReadsPastMatchesParser(t *testing.T) {
 					changed = after
 				}
 			}
-			switch past := readsPast(f.Toks.Tokens, d); {
+			switch past := readsPast(f.Toks, d); {
 			case past && changed == "":
 				t.Errorf("readsPast flags %q, but its parse is the same whatever follows it", f.Toks.Slice(first, last))
 			case !past && changed != "":

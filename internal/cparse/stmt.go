@@ -30,24 +30,25 @@ func (p *parser) parseCompound() (*cast.Compound, error) {
 func (p *parser) parseStmt() (cast.Stmt, error) {
 	start := p.pos
 	t := p.tok()
+	text := p.text()
 
 	// SmPL pattern forms first.
 	if p.opts.pattern() {
-		if t.Is("...") {
+		if p.is("...") {
 			return p.parseDots()
 		}
-		if t.Is("\\(") || (t.Is("(") && t.Pos.Col == 1 && p.colGroupIsDisj()) {
-			return p.parseStmtGroup(t.Text == "\\(")
+		if p.is("\\(") || (p.is("(") && t.Pos.Col == 1 && p.colGroupIsDisj()) {
+			return p.parseStmtGroup(text == "\\(")
 		}
 		if t.Kind == ctoken.Ident {
-			if k, ok := p.metaKind(t.Text); ok && (k == cast.MetaStmtKind || k == cast.MetaStmtListKind) {
+			if k, ok := p.metaKind(text); ok && (k == cast.MetaStmtKind || k == cast.MetaStmtListKind) {
 				// Statement metavariable, optionally with @pos, optionally a
 				// bare reference (no semicolon).
 				p.next()
-				ms := &cast.MetaStmt{Name: t.Text}
+				ms := &cast.MetaStmt{Name: text}
 				for p.is("@") && p.peek(1).Kind == ctoken.Ident {
 					p.next()
-					ms.Positions = append(ms.Positions, p.next().Text)
+					ms.Positions = append(ms.Positions, p.nextText())
 				}
 				if p.is(";") {
 					p.next()
@@ -76,7 +77,7 @@ func (p *parser) parseStmt() (cast.Stmt, error) {
 			// Other directives in statement position: wrap as pragma-like
 			// opaque statement via Empty + raw? Represent as PragmaStmt with
 			// synthetic pragma to preserve tokens.
-			pr := &cast.Pragma{Raw: p.file.Tokens[start].Text}
+			pr := &cast.Pragma{Raw: p.file.Text(start)}
 			setSpan(pr, start, start)
 			ps := &cast.PragmaStmt{P: pr}
 			setSpan(ps, start, start)
@@ -84,18 +85,18 @@ func (p *parser) parseStmt() (cast.Stmt, error) {
 		}
 	}
 
-	if t.Is(";") {
+	if p.is(";") {
 		p.next()
 		e := &cast.Empty{}
 		setSpan(e, start, start)
 		return e, nil
 	}
-	if t.Is("{") {
+	if p.is("{") {
 		return p.parseCompound()
 	}
 
 	if t.Kind == ctoken.Ident {
-		switch t.Text {
+		switch text {
 		case "if":
 			return p.parseIf()
 		case "for":
@@ -140,7 +141,7 @@ func (p *parser) parseStmt() (cast.Stmt, error) {
 			if p.tok().Kind != ctoken.Ident {
 				return nil, p.errHere("expected label after goto")
 			}
-			g := &cast.Goto{Label: p.next().Text}
+			g := &cast.Goto{Label: p.nextText()}
 			if _, err := p.expect(";"); err != nil {
 				return nil, err
 			}
@@ -152,15 +153,15 @@ func (p *parser) parseStmt() (cast.Stmt, error) {
 			return p.parseCase()
 		}
 		// Label: ident ':' (not '::')
-		if p.peek(1).Is(":") && !p.peek(2).Is(":") && !ctoken.Keywords[t.Text] {
-			if _, isMeta := p.metaKind(t.Text); !isMeta {
+		if p.peekIs(1, ":") && !p.peekIs(2, ":") && !ctoken.Keywords[text] {
+			if _, isMeta := p.metaKind(text); !isMeta {
 				p.next()
 				p.next()
 				inner, err := p.parseStmt()
 				if err != nil {
 					return nil, err
 				}
-				l := &cast.Label{Name: t.Text, Stmt: inner}
+				l := &cast.Label{Name: text, Stmt: inner}
 				setSpan(l, start, p.prev())
 				return l, nil
 			}
@@ -203,7 +204,7 @@ func (p *parser) parseStmt() (cast.Stmt, error) {
 	if p.is(";") {
 		p.next()
 	} else if !p.patternStmtEnd() {
-		return nil, p.errHere("expected \";\", found %q", p.tok().Text)
+		return nil, p.errHere("expected \";\", found %q", p.text())
 	}
 	es := &cast.ExprStmt{X: e}
 	setSpan(es, start, p.prev())
@@ -221,10 +222,10 @@ func (p *parser) patternStmtEnd() bool {
 	if t.Kind == ctoken.EOF {
 		return true
 	}
-	if t.Is("\\|") || t.Is("\\&") || t.Is("\\)") {
+	if p.is("\\|") || p.is("\\&") || p.is("\\)") {
 		return true
 	}
-	if t.Pos.Col == 1 && (t.Is("|") || t.Is("&") || t.Is(")")) {
+	if t.Pos.Col == 1 && (p.is("|") || p.is("&") || p.is(")")) {
 		return true
 	}
 	return false
@@ -293,11 +294,7 @@ func (p *parser) parseStmtGroup(escaped bool) (cast.Stmt, error) {
 		return nil, err
 	}
 	isSep := func(txt string) bool {
-		t := p.tok()
-		if !t.Is(txt) {
-			return false
-		}
-		return escaped || t.Pos.Col == 1
+		return p.is(txt) && (escaped || p.tok().Pos.Col == 1)
 	}
 	var branches [][]cast.Stmt
 	var cur []cast.Stmt
@@ -353,48 +350,48 @@ func (p *parser) startsDecl() bool {
 	if t.Kind != ctoken.Ident {
 		return false
 	}
-	if ctoken.TypeKeywords[t.Text] {
+	text := p.text()
+	if ctoken.TypeKeywords[text] {
 		return true
 	}
-	if ctoken.Keywords[t.Text] && t.Text != "bool" && t.Text != "auto" {
+	if ctoken.Keywords[text] && text != "bool" && text != "auto" {
 		return false
 	}
-	if p.isMeta(t.Text, cast.MetaTypeKind) {
+	if p.isMeta(text, cast.MetaTypeKind) {
 		return true
 	}
-	if _, isMeta := p.metaKind(t.Text); isMeta {
+	if _, isMeta := p.metaKind(text); isMeta {
 		return false
 	}
 	// Heuristics for "Typename x ...".
 	i := 1
 	// qualified name a::b
-	for p.peek(i).Is("::") && p.peek(i+1).Kind == ctoken.Ident {
+	for p.peekIs(i, "::") && p.peek(i+1).Kind == ctoken.Ident {
 		i += 2
 	}
 	// Template suffix like vec<int>, only in C++ mode and only when the
 	// angle brackets balance before a statement boundary.
-	if p.opts.CPlusPlus && p.peek(i).Is("<") {
+	if p.opts.CPlusPlus && p.peekIs(i, "<") {
 		if j, ok := p.scanTemplateArgs(i); ok {
 			i = j
 		}
 	}
 	stars := 0
-	for p.peek(i).Is("*") || p.peek(i).Is("&") {
-		if p.peek(i).Is("*") {
+	for p.peekIs(i, "*") || p.peekIs(i, "&") {
+		if p.peekIs(i, "*") {
 			stars++
 		}
 		i++
 	}
-	nt := p.peek(i)
-	if nt.Kind != ctoken.Ident || ctoken.Keywords[nt.Text] {
+	name := p.peekText(i)
+	if p.peek(i).Kind != ctoken.Ident || ctoken.Keywords[name] {
 		return false
 	}
-	if _, isMeta := p.metaKind(nt.Text); isMeta && !p.isMeta(nt.Text, cast.MetaIdentKind, cast.MetaFreshIdentKind) {
+	if _, isMeta := p.metaKind(name); isMeta && !p.isMeta(name, cast.MetaIdentKind, cast.MetaFreshIdentKind) {
 		return false
 	}
-	after := p.peek(i + 1)
 	switch {
-	case after.Is(";"), after.Is("="), after.Is(","), after.Is("["):
+	case p.peekIs(i+1, ";"), p.peekIs(i+1, "="), p.peekIs(i+1, ","), p.peekIs(i+1, "["):
 		return true
 	}
 	return false
@@ -407,16 +404,16 @@ func (p *parser) scanTemplateArgs(off int) (int, bool) {
 	for i := off; ; i++ {
 		t := p.peek(i)
 		switch {
-		case t.Kind == ctoken.EOF || t.Is(";") || t.Is("{") || t.Is("}") || t.Kind == ctoken.PP:
+		case t.Kind == ctoken.EOF || p.peekIs(i, ";") || p.peekIs(i, "{") || p.peekIs(i, "}") || t.Kind == ctoken.PP:
 			return 0, false
-		case t.Is("<"):
+		case p.peekIs(i, "<"):
 			depth++
-		case t.Is(">"):
+		case p.peekIs(i, ">"):
 			depth--
 			if depth == 0 {
 				return i + 1, true
 			}
-		case t.Is(">>"):
+		case p.peekIs(i, ">>"):
 			depth -= 2
 			if depth == 0 {
 				return i + 1, true
@@ -527,7 +524,7 @@ func (p *parser) parseFor() (cast.Stmt, error) {
 	}
 	// cond clause
 	if !p.is(";") {
-		if p.opts.pattern() && p.is("...") && p.peek(1).Is(";") {
+		if p.opts.pattern() && p.is("...") && p.peekIs(1, ";") {
 			ds := p.pos
 			p.next()
 			d := &cast.Dots{}
@@ -546,7 +543,7 @@ func (p *parser) parseFor() (cast.Stmt, error) {
 	}
 	// post clause
 	if !p.is(")") {
-		if p.opts.pattern() && p.is("...") && p.peek(1).Is(")") {
+		if p.opts.pattern() && p.is("...") && p.peekIs(1, ")") {
 			ds := p.pos
 			p.next()
 			d := &cast.Dots{}
@@ -582,18 +579,18 @@ func (p *parser) rangeForAhead() bool {
 			return false
 		}
 		switch {
-		case t.Is("(") || t.Is("[") || t.Is("{"):
+		case p.peekIs(i, "(") || p.peekIs(i, "[") || p.peekIs(i, "{"):
 			depth++
-		case t.Is(")") || t.Is("]") || t.Is("}"):
+		case p.peekIs(i, ")") || p.peekIs(i, "]") || p.peekIs(i, "}"):
 			if depth == 0 {
 				return false
 			}
 			depth--
-		case t.Is(";") && depth == 0:
+		case p.peekIs(i, ";") && depth == 0:
 			return false
-		case t.Is(":") && depth == 0 && !p.peek(i+1).Is(":") && (i == 0 || !p.peek(i-1).Is(":")):
+		case p.peekIs(i, ":") && depth == 0 && !p.peekIs(i+1, ":") && (i == 0 || !p.peekIs(i-1, ":")):
 			return true
-		case t.Is("?") && depth == 0:
+		case p.peekIs(i, "?") && depth == 0:
 			return false // ternary ':' would confuse us
 		}
 	}

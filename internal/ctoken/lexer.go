@@ -124,7 +124,9 @@ func (lx *lexer) skipWS() (string, error) {
 	for lx.off < len(lx.src) {
 		c := lx.src[lx.off]
 		switch {
-		case c == ' ' || c == '\t' || c == '\n' || c == '\r' || c == '\v' || c == '\f':
+		case c == ' ' || c == '\t' || c == '\r' || c == '\v' || c == '\f':
+			lx.advanceNoNL(1)
+		case c == '\n':
 			lx.advance(1)
 		case c == '/' && lx.peekAt(1) == '/':
 			for lx.off < len(lx.src) && lx.src[lx.off] != '\n' {
@@ -204,7 +206,7 @@ func (lx *lexer) next() (Token, error) {
 		if err != nil {
 			return Token{}, err
 		}
-		return Token{Kind: PP, Text: text, Pos: pos}, nil
+		return Token{Kind: PP, Pos: pos, Len: int32(len(text))}, nil
 	}
 
 	if isIdentStart(c) {
@@ -226,9 +228,9 @@ func (lx *lexer) next() (Token, error) {
 			if lx.src[start+len(text)] == '\'' {
 				kind = CharLit
 			}
-			return Token{Kind: kind, Text: lit, Pos: pos}, nil
+			return Token{Kind: kind, Pos: pos, Len: int32(len(lit))}, nil
 		}
-		return Token{Kind: Ident, Text: text, Pos: pos}, nil
+		return Token{Kind: Ident, Pos: pos, Len: int32(len(text))}, nil
 	}
 
 	if isDigit(c) || (c == '.' && isDigit(lx.peekAt(1))) {
@@ -236,7 +238,7 @@ func (lx *lexer) next() (Token, error) {
 		if err != nil {
 			return Token{}, err
 		}
-		return Token{Kind: kind, Text: text, Pos: pos}, nil
+		return Token{Kind: kind, Pos: pos, Len: int32(len(text))}, nil
 	}
 
 	if c == '"' {
@@ -244,33 +246,36 @@ func (lx *lexer) next() (Token, error) {
 		if err != nil {
 			return Token{}, err
 		}
-		return Token{Kind: StringLit, Text: lit, Pos: pos}, nil
+		return Token{Kind: StringLit, Pos: pos, Len: int32(len(lit))}, nil
 	}
 	if c == '\'' {
 		lit, err := lx.lexStringFrom(lx.off, pos, false)
 		if err != nil {
 			return Token{}, err
 		}
-		return Token{Kind: CharLit, Text: lit, Pos: pos}, nil
+		return Token{Kind: CharLit, Pos: pos, Len: int32(len(lit))}, nil
 	}
 
 	if lx.opts.SmPL {
 		for _, p := range smplPuncts {
 			if strings.HasPrefix(lx.src[lx.off:], p) {
 				lx.advance(len(p))
-				return Token{Kind: Punct, Text: p, Pos: pos}, nil
+				return Token{Kind: Punct, Pos: pos, Len: int32(len(p))}, nil
 			}
 		}
 	}
+	rest := lx.src[lx.off:]
 	for _, p := range punctsByByte[c] {
-		if !strings.HasPrefix(lx.src[lx.off:], p) {
+		// p starts with c, so only its tail needs comparing; no punctuator
+		// is longer than three bytes.
+		if len(p) > len(rest) || len(p) > 1 && rest[1] != p[1] || len(p) > 2 && rest[2] != p[2] {
 			continue
 		}
 		if !lx.opts.CUDAChevrons && (p == "<<<" || p == ">>>") {
 			continue
 		}
 		lx.advanceNoNL(len(p))
-		return Token{Kind: Punct, Text: p, Pos: pos}, nil
+		return Token{Kind: Punct, Pos: pos, Len: int32(len(p))}, nil
 	}
 
 	return Token{}, lx.errf(pos, "unexpected character %q", string(c))
@@ -311,13 +316,15 @@ func (lx *lexer) lexPPLine() (string, error) {
 	return strings.TrimRight(lx.src[start:lx.off], "\r"), nil
 }
 
+// lexNumber lexes a numeric literal. Its bytes hold no newline, and every
+// advance follows a check that the bytes are there.
 func (lx *lexer) lexNumber() (string, Kind, error) {
 	start := lx.off
 	kind := IntLit
 	if lx.peek() == '0' && (lx.peekAt(1) == 'x' || lx.peekAt(1) == 'X') {
-		lx.advance(2)
+		lx.advanceNoNL(2)
 		for lx.off < len(lx.src) && (isHex(lx.src[lx.off]) || lx.src[lx.off] == '\'') {
-			lx.advance(1)
+			lx.advanceNoNL(1)
 		}
 		// hex float
 		if lx.peek() == '.' || lx.peek() == 'p' || lx.peek() == 'P' {
@@ -325,26 +332,26 @@ func (lx *lexer) lexNumber() (string, Kind, error) {
 			for lx.off < len(lx.src) && (isHex(lx.src[lx.off]) || lx.src[lx.off] == '.' ||
 				lx.src[lx.off] == 'p' || lx.src[lx.off] == 'P' ||
 				((lx.src[lx.off] == '+' || lx.src[lx.off] == '-') && (lx.src[lx.off-1] == 'p' || lx.src[lx.off-1] == 'P'))) {
-				lx.advance(1)
+				lx.advanceNoNL(1)
 			}
 		}
 	} else {
 		for lx.off < len(lx.src) && (isDigit(lx.src[lx.off]) || lx.src[lx.off] == '\'') {
-			lx.advance(1)
+			lx.advanceNoNL(1)
 		}
 		if lx.peek() == '.' && lx.peekAt(1) != '.' {
 			kind = FloatLit
-			lx.advance(1)
+			lx.advanceNoNL(1)
 			for lx.off < len(lx.src) && isDigit(lx.src[lx.off]) {
-				lx.advance(1)
+				lx.advanceNoNL(1)
 			}
 		}
 		if lx.peek() == 'e' || lx.peek() == 'E' {
 			if isDigit(lx.peekAt(1)) || ((lx.peekAt(1) == '+' || lx.peekAt(1) == '-') && isDigit(lx.peekAt(2))) {
 				kind = FloatLit
-				lx.advance(2)
+				lx.advanceNoNL(2)
 				for lx.off < len(lx.src) && isDigit(lx.src[lx.off]) {
-					lx.advance(1)
+					lx.advanceNoNL(1)
 				}
 			}
 		}
@@ -356,7 +363,7 @@ func (lx *lexer) lexNumber() (string, Kind, error) {
 			if c == 'f' || c == 'F' {
 				kind = FloatLit
 			}
-			lx.advance(1)
+			lx.advanceNoNL(1)
 		} else {
 			break
 		}

@@ -2,6 +2,7 @@ package ctoken
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -29,9 +30,9 @@ func kinds(f *File) []Kind {
 
 func texts(f *File) []string {
 	var ts []string
-	for _, t := range f.Tokens {
+	for i, t := range f.Tokens {
 		if t.Kind != EOF {
-			ts = append(ts, t.Text)
+			ts = append(ts, f.Text(i))
 		}
 	}
 	return ts
@@ -84,9 +85,9 @@ func TestLexPPDirectives(t *testing.T) {
 	src := "#include <stdio.h>\nint x;\n#pragma omp parallel \\\n  for\ny();\n"
 	f := lexOK(t, src, Options{})
 	var pps []string
-	for _, tok := range f.Tokens {
+	for i, tok := range f.Tokens {
 		if tok.Kind == PP {
-			pps = append(pps, tok.Text)
+			pps = append(pps, f.Text(i))
 		}
 	}
 	if len(pps) != 2 {
@@ -107,8 +108,8 @@ func TestLexHashNotAtLineStart(t *testing.T) {
 	// '#' mid-line is an error in C, but in SmPL mode ## is concatenation.
 	f := lexOK(t, `fresh identifier g = "p_" ## f;`, Options{SmPL: true})
 	found := false
-	for _, tok := range f.Tokens {
-		if tok.Is("##") {
+	for i := range f.Tokens {
+		if f.Is(i, "##") {
 			found = true
 		}
 	}
@@ -138,8 +139,8 @@ func TestLexNumbers(t *testing.T) {
 	}
 	for _, c := range cases {
 		f := lexOK(t, c.src, Options{})
-		if f.Tokens[0].Kind != c.kind || f.Tokens[0].Text != c.src {
-			t.Errorf("%q: got kind=%v text=%q, want kind=%v", c.src, f.Tokens[0].Kind, f.Tokens[0].Text, c.kind)
+		if f.Tokens[0].Kind != c.kind || f.Text(0) != c.src {
+			t.Errorf("%q: got kind=%v text=%q, want kind=%v", c.src, f.Tokens[0].Kind, f.Text(0), c.kind)
 		}
 	}
 }
@@ -148,8 +149,8 @@ func TestLexStrings(t *testing.T) {
 	cases := []string{`"abc"`, `"a\"b"`, `'x'`, `'\0'`, `L"wide"`, `u8"utf"`, `R"(raw " string)"`}
 	for _, c := range cases {
 		f := lexOK(t, c, Options{})
-		if f.Tokens[0].Text != c {
-			t.Errorf("%q lexed as %q", c, f.Tokens[0].Text)
+		if f.Text(0) != c {
+			t.Errorf("%q lexed as %q", c, f.Text(0))
 		}
 	}
 }
@@ -166,8 +167,8 @@ func TestLexErrors(t *testing.T) {
 func TestLexPositions(t *testing.T) {
 	f := lexOK(t, "int x;\n  y = 2;", Options{})
 	// token "y" should be at line 2, col 3
-	for _, tok := range f.Tokens {
-		if tok.IsIdent("y") {
+	for i, tok := range f.Tokens {
+		if f.IsIdent(i, "y") {
 			if tok.Pos.Line != 2 || tok.Pos.Col != 3 {
 				t.Errorf("y at %v, want 2:3", tok.Pos)
 			}
@@ -242,24 +243,28 @@ func TestLexCRLFDirectivesRoundtrip(t *testing.T) {
 	if got := f.Render(); got != src {
 		t.Errorf("CRLF roundtrip failed:\n in: %q\nout: %q", src, got)
 	}
-	if f.Tokens[0].Text != "#include <a.h>" {
-		t.Errorf("directive text = %q, want no carriage return", f.Tokens[0].Text)
+	if f.Text(0) != "#include <a.h>" {
+		t.Errorf("directive text = %q, want no carriage return", f.Text(0))
 	}
 	if ws := f.WS(1); ws != "\r\n" {
 		t.Errorf("whitespace after the directive = %q, want %q", ws, "\r\n")
 	}
 }
 
-// Every token's text sits in the source at its offset, and WS(i) is the
-// source between consecutive tokens.
+// Tokens lie in the source in order without overlapping, Text(i) is the
+// source at a token's offset, and WS(i) is the source between consecutive
+// tokens.
 func TestWSDerivedFromOffsets(t *testing.T) {
 	src := "/* c */ int  x = 1; // tail\n#define A \\\n 2\n\ty++;  \n"
 	f := lexOK(t, src, Options{})
 	end := 0
 	for i, tok := range f.Tokens {
 		off := int(tok.Pos.Offset)
-		if src[off:off+len(tok.Text)] != tok.Text {
-			t.Errorf("token %d %q not at offset %d", i, tok.Text, off)
+		if off < end || tok.End() > len(src) || tok.Len < 0 {
+			t.Fatalf("token %d spans [%d, %d), after the previous end %d or past the source", i, off, tok.End(), end)
+		}
+		if got := f.Text(i); got != src[off:tok.End()] {
+			t.Errorf("Text(%d) = %q, want %q", i, got, src[off:tok.End()])
 		}
 		if got := f.WS(i); got != src[end:off] {
 			t.Errorf("WS(%d) = %q, want %q", i, got, src[end:off])
@@ -272,8 +277,56 @@ func TestWSDerivedFromOffsets(t *testing.T) {
 }
 
 func TestTokenSize(t *testing.T) {
-	if got := unsafe.Sizeof(Token{}); got != 32 {
-		t.Errorf("unsafe.Sizeof(Token{}) = %d, want 32", got)
+	if got := unsafe.Sizeof(Token{}); got != 20 {
+		t.Errorf("unsafe.Sizeof(Token{}) = %d, want 20", got)
+	}
+}
+
+// A token slice must hold no pointers, so the garbage collector never scans
+// it and building it needs no write barriers. The text is read through the
+// File instead.
+func TestTokenHasNoPointers(t *testing.T) {
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.String, reflect.Pointer, reflect.UnsafePointer, reflect.Slice,
+			reflect.Map, reflect.Interface, reflect.Func, reflect.Chan:
+			t.Errorf("%s is a %s, which holds a pointer", path, typ.Kind())
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				f := typ.Field(i)
+				walk(path+"."+f.Name, f.Type)
+			}
+		case reflect.Array:
+			walk(path+"[]", typ.Elem())
+		}
+	}
+	walk("Token", reflect.TypeOf(Token{}))
+}
+
+// Is and IsIdent compare the kind and the source text of a token.
+func TestFileIsAndIsIdent(t *testing.T) {
+	f := lexOK(t, "x <<= xy;", Options{})
+	checks := []struct {
+		i     int
+		punct string
+		ident string
+		want  bool
+	}{
+		{0, "", "x", true}, {0, "", "xy", false}, {0, "x", "", false},
+		{1, "<<=", "", true}, {1, "<<", "", false}, {1, "", "<<=", false},
+		{2, "", "xy", true}, {2, "", "x", false}, {3, ";", "", true},
+	}
+	for _, c := range checks {
+		var got bool
+		if c.punct != "" {
+			got = f.Is(c.i, c.punct)
+		} else {
+			got = f.IsIdent(c.i, c.ident)
+		}
+		if got != c.want {
+			t.Errorf("token %d (%q) Is(%q)/IsIdent(%q) = %v, want %v", c.i, f.Text(c.i), c.punct, c.ident, got, c.want)
+		}
 	}
 }
 
@@ -310,6 +363,15 @@ func TestLexAllocsGeneratedShapes(t *testing.T) {
 		if allocs != 2 {
 			t.Errorf("%s (%.2f bytes/token): Lex made %v allocations, want 2",
 				shape, float64(len(src))/float64(len(f.Tokens)), allocs)
+		}
+	}
+}
+
+// The punctuation matcher compares at most three bytes of a candidate.
+func TestPunctuatorsAtMostThreeBytes(t *testing.T) {
+	for _, p := range puncts {
+		if len(p) == 0 || len(p) > 3 {
+			t.Errorf("punctuator %q is %d bytes; the lexer matches 1 to 3", p, len(p))
 		}
 	}
 }

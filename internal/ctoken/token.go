@@ -1,10 +1,11 @@
 // Package ctoken implements a lexer for the C/C++ dialect used by the
-// semantic patch engine. Tokens keep their exact source text and offset, and
-// the whitespace (including comments) before a token is the source between
-// it and the previous one, so a token stream renders back to the original
-// source byte-for-byte. The same lexer, in SmPL mode, tokenizes semantic
-// patch bodies, which extend C with a handful of pattern operators (escaped
-// disjunctions, metavariable positions, and identifier concatenation).
+// semantic patch engine. Tokens record where their text starts in the
+// source and how long it is, and the whitespace (including comments) before
+// a token is the source between it and the previous one, so a token stream
+// renders back to the original source byte-for-byte. The same lexer, in
+// SmPL mode, tokenizes semantic patch bodies, which extend C with a handful
+// of pattern operators (escaped disjunctions, metavariable positions, and
+// identifier concatenation).
 package ctoken
 
 import "fmt"
@@ -56,26 +57,22 @@ type Pos struct {
 
 func (p Pos) String() string { return fmt.Sprintf("%d:%d", p.Line, p.Col) }
 
-// Token is one lexical element. Text is the slice of the file's source that
-// starts at Pos.Offset; the whitespace and comments before the token are not
-// stored but derived from the offsets (File.WS). The field order packs a
-// Token into 32 bytes.
+// Token is one lexical element: its kind, where it starts and how many bytes
+// of source it spans. It holds no pointers, so building a token slice needs
+// no write barriers and the garbage collector never scans one. The text and
+// the whitespace and comments before the token are not stored but read from
+// the file's source (File.Text, File.WS). The field order packs a Token into
+// 20 bytes.
 type Token struct {
 	Kind Kind
 	Pos  Pos
-	Text string
+	Len  int32 // length of the text in bytes
 }
 
 // End returns the byte offset just past the token's text.
-func (t *Token) End() int { return int(t.Pos.Offset) + len(t.Text) }
+func (t *Token) End() int { return int(t.Pos.Offset) + int(t.Len) }
 
-// Is reports whether the token is a punctuation token with the given text.
-func (t Token) Is(text string) bool { return t.Kind == Punct && t.Text == text }
-
-// IsIdent reports whether the token is an identifier with the given name.
-func (t Token) IsIdent(name string) bool { return t.Kind == Ident && t.Text == name }
-
-// File is a lexed source file. Only Lex builds one, so every token's Text
+// File is a lexed source file. Only Lex builds one, so every token's text
 // sits in Src at its offset and the tokens cover Src in order.
 type File struct {
 	Name   string
@@ -84,10 +81,33 @@ type File struct {
 	Tokens []Token // always ends with an EOF token
 }
 
+// Text returns the source text of token i. It shares Src's bytes.
+func (f *File) Text(i int) string {
+	t := &f.Tokens[i]
+	return f.Src[t.Pos.Offset : t.Pos.Offset+t.Len]
+}
+
+// Is reports whether token i is a punctuation token with the given text.
+// The parser calls it for most tokens it reads, and most calls fail, so it
+// compares the first byte before the rest.
+func (f *File) Is(i int, text string) bool {
+	t := &f.Tokens[i]
+	if t.Kind != Punct || int(t.Len) != len(text) || f.Src[t.Pos.Offset] != text[0] {
+		return false
+	}
+	return len(text) == 1 || f.Src[t.Pos.Offset+1:t.Pos.Offset+t.Len] == text[1:]
+}
+
+// IsIdent reports whether token i is an identifier with the given name.
+func (f *File) IsIdent(i int, name string) bool {
+	t := &f.Tokens[i]
+	return t.Kind == Ident && int(t.Len) == len(name) && f.Text(i) == name
+}
+
 // WS returns the exact whitespace and comments that precede token i: the
 // source between the end of token i-1 (or the start of the file) and token
 // i. The EOF token's WS is the file's trailing whitespace, so concatenating
-// WS(i)+Text over all tokens reproduces Src.
+// WS(i)+Text(i) over all tokens reproduces Src.
 func (f *File) WS(i int) string {
 	start := 0
 	if i > 0 {
@@ -101,7 +121,7 @@ func (f *File) Render() string {
 	buf := make([]byte, 0, len(f.Src))
 	for i := range f.Tokens {
 		buf = append(buf, f.WS(i)...)
-		buf = append(buf, f.Tokens[i].Text...)
+		buf = append(buf, f.Text(i)...)
 	}
 	return string(buf)
 }

@@ -76,7 +76,7 @@ func Translate(name, src string) (string, Report, error) {
 				// rename only the base identifier token
 				first, last := x.Span()
 				for i := first; i <= last; i++ {
-					if f.Toks.Tokens[i].Text == x.Base && !ed.Deleted(i) {
+					if f.Toks.Text(i) == x.Base && !ed.Deleted(i) {
 						renameTok(i, to)
 						rep.Types++
 						break

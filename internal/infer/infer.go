@@ -329,9 +329,9 @@ func headerText(f *cast.File, fd *cast.FuncDef) string {
 }
 
 func collectIdents(tf *ctoken.File, idents map[string]bool) {
-	for _, t := range tf.Tokens {
+	for i, t := range tf.Tokens {
 		if t.Kind == ctoken.Ident {
-			idents[t.Text] = true
+			idents[tf.Text(i)] = true
 		}
 	}
 }

@@ -103,9 +103,11 @@ func checkMetavars(p *smpl.Patch) []Issue {
 		// rather than taken whole because preprocessor lines (`#pragma acc
 		// pi`) lex as one token whose text embeds metavariable references.
 		matchWords := map[string]bool{}
-		for _, t := range r.Pattern.Toks.Tokens {
-			matchWords[t.Text] = true
-			for w := range index.ScanWords(t.Text) {
+		pt := r.Pattern.Toks
+		for i := range pt.Tokens {
+			text := pt.Text(i)
+			matchWords[text] = true
+			for w := range index.ScanWords(text) {
 				matchWords[w] = true
 			}
 		}
@@ -255,19 +257,19 @@ func checkDisjunctions(p *smpl.Patch) []Issue {
 			continue
 		}
 		metas := smpl.NewMetaTable(r.Metas)
-		toks := r.Pattern.Toks.Tokens
+		pt := r.Pattern.Toks
 		norm := func(first, last int) []branchTok {
-			if first < 0 || last >= len(toks) || first > last {
+			if first < 0 || last >= len(pt.Tokens) || first > last {
 				return nil
 			}
 			out := make([]branchTok, 0, last-first+1)
 			for i := first; i <= last; i++ {
-				t := toks[i]
-				if k, ok := metas.Lookup(t.Text); ok {
-					out = append(out, branchTok{text: t.Text, class: k, meta: true})
+				text := pt.Text(i)
+				if k, ok := metas.Lookup(text); ok {
+					out = append(out, branchTok{text: text, class: k, meta: true})
 					continue
 				}
-				out = append(out, branchTok{text: t.Text})
+				out = append(out, branchTok{text: text})
 			}
 			return out
 		}
@@ -277,8 +279,8 @@ func checkDisjunctions(p *smpl.Patch) []Issue {
 					if subsumes(branches[i], branches[j]) {
 						first, _ := n.Span()
 						line := 0
-						if first >= 0 && first < len(toks) {
-							line = int(toks[first].Pos.Line)
+						if first >= 0 && first < len(pt.Tokens) {
+							line = int(pt.Tokens[first].Pos.Line)
 						}
 						issues = append(issues, Issue{Patch: p.Name, Rule: r.Name, Code: CodeShadowedBranch,
 							Msg: fmt.Sprintf("disjunction at body line %d: branch %d is shadowed by branch %d and can never match", line, j+1, i+1)})

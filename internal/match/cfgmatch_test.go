@@ -348,8 +348,8 @@ commit();
 	}
 	f := m.Code
 	var takenTok, untakenTok int
-	for i, tok := range f.Toks.Tokens {
-		switch tok.Text {
+	for i := range f.Toks.Tokens {
+		switch f.Toks.Text(i) {
 		case "taken":
 			takenTok = i
 		case "untaken":

@@ -219,7 +219,7 @@ func norm(f *ctoken.File, first, last int) string {
 		if i > first {
 			sb.WriteByte(' ')
 		}
-		sb.WriteString(f.Tokens[i].Text)
+		sb.WriteString(f.Text(i))
 	}
 	return sb.String()
 }

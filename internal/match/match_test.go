@@ -203,8 +203,8 @@ statement A;
 	// pattern token of "0"
 	res := NewResolver(&ms[0])
 	zeroTok := -1
-	for i, tok := range m.Pat.Toks.Tokens {
-		if tok.Text == "0" {
+	for i := range m.Pat.Toks.Tokens {
+		if m.Pat.Toks.Text(i) == "0" {
 			zeroTok = i
 		}
 	}
@@ -413,9 +413,9 @@ for (T i=0; i+k-1 < l ; i+=k) { ... }
 	res := NewResolver(&ms[0])
 	// find the pattern token "+" right after "i" in the cond
 	pt := -1
-	toks := m.Pat.Toks.Tokens
-	for i := 0; i < len(toks)-1; i++ {
-		if toks[i].Text == "i" && toks[i+1].Text == "+" && toks[i+2].Text == "k" {
+	toks := m.Pat.Toks
+	for i := 0; i < len(toks.Tokens)-1; i++ {
+		if toks.Text(i) == "i" && toks.Text(i+1) == "+" && toks.Text(i+2) == "k" {
 			pt = i + 1
 			break
 		}
@@ -427,9 +427,8 @@ for (T i=0; i+k-1 < l ; i+=k) { ... }
 	if len(rngs) != 1 {
 		t.Fatalf("ranges=%v", rngs)
 	}
-	codeTok := m.Code.Toks.Tokens[rngs[0][0]]
-	if codeTok.Text != "+" {
-		t.Errorf("resolved token %q want +", codeTok.Text)
+	if codeTok := m.Code.Toks.Text(rngs[0][0]); codeTok != "+" {
+		t.Errorf("resolved token %q want +", codeTok)
 	}
 }
 

@@ -536,3 +536,30 @@ func TestHTTPApply(t *testing.T) {
 }
 
 func strptr(s string) *string { return &s }
+
+// The AST LRU reports the trees it evicts: a cold sweep that parses three
+// files into a two-tree cache evicts one.
+func TestSessionReportsASTEvictions(t *testing.T) {
+	root := writeCorpus(t, 9) // src00, src03 and src06 call the API
+	s, err := NewSession(Config{
+		Root:         root,
+		Patches:      []*smpl.Patch{parsePatch(t, "rename.cocci", renamePatch)},
+		Options:      batch.Options{Workers: 2},
+		ASTCacheSize: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	sum, err := s.Run(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Parsed != 3 {
+		t.Fatalf("cold sweep parsed %d files, want 3", sum.Parsed)
+	}
+	st := s.Stats()
+	if st.ASTEntries != 2 || st.ASTEvicted != 1 {
+		t.Errorf("ast_entries=%d ast_evictions=%d, want 2 and 1", st.ASTEntries, st.ASTEvicted)
+	}
+}

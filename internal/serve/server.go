@@ -674,6 +674,7 @@ func (srv *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		{"ast_cache_entries", "gauge", "Resident parse trees.", func(st SessionStats) float64 { return float64(st.ASTEntries) }},
 		{"ast_cache_hits_total", "counter", "Parse-tree cache hits.", func(st SessionStats) float64 { return float64(st.ASTHits) }},
 		{"ast_cache_misses_total", "counter", "Parse-tree cache misses.", func(st SessionStats) float64 { return float64(st.ASTMisses) }},
+		{"ast_cache_evictions_total", "counter", "Parse trees evicted to keep the cache within its bound.", func(st SessionStats) float64 { return float64(st.ASTEvicted) }},
 		{"mem_cache_entries", "gauge", "In-memory scan/result cache entries.", func(st SessionStats) float64 { return float64(st.MemEntries) }},
 		{"mem_cache_hits_total", "counter", "In-memory cache hits.", func(st SessionStats) float64 { return float64(st.MemHits) }},
 		{"mem_cache_misses_total", "counter", "In-memory cache misses.", func(st SessionStats) float64 { return float64(st.MemMisses) }},

@@ -575,6 +575,7 @@ type SessionStats struct {
 	ASTEntries int    `json:"ast_entries"`
 	ASTHits    int64  `json:"ast_hits"`
 	ASTMisses  int64  `json:"ast_misses"`
+	ASTEvicted int64  `json:"ast_evictions"` // trees dropped to stay within ASTCacheSize
 	MemEntries int    `json:"mem_entries"`
 	MemHits    int64  `json:"mem_hits"`
 	MemMisses  int64  `json:"mem_misses"`
@@ -618,6 +619,7 @@ func (s *Session) Stats() SessionStats {
 		ASTEntries:      s.asts.Len(),
 		ASTHits:         astHits,
 		ASTMisses:       astMisses,
+		ASTEvicted:      s.asts.Evictions(),
 		MemEntries:      s.mem.Len(),
 		MemHits:         memHits,
 		MemMisses:       memMisses,

@@ -30,8 +30,8 @@ func TestStarLinesParse(t *testing.T) {
 	}
 	if got := pat.FirstStarToken(); got < 0 {
 		t.Fatalf("FirstStarToken = %d, want a starred token", got)
-	} else if tok := pat.Toks.Tokens[got]; tok.Text != "f" {
-		t.Fatalf("first starred token = %q, want \"f\"", tok.Text)
+	} else if text := pat.Toks.Text(got); text != "f" {
+		t.Fatalf("first starred token = %q, want \"f\"", text)
 	}
 	if r.Check == nil || r.Check.ID != "unchecked-call" || r.Check.Severity != "error" {
 		t.Fatalf("check metadata not attached: %+v", r.Check)

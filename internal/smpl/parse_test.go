@@ -260,8 +260,8 @@ for (;; i
 	pat := p.Rules[0].Pattern
 	// token "+=" must be on a minus line
 	foundMinus := false
-	for i, tok := range pat.Toks.Tokens {
-		if tok.Text == "+=" && pat.TokenMark(i) == Minus {
+	for i := range pat.Toks.Tokens {
+		if pat.Toks.Text(i) == "+=" && pat.TokenMark(i) == Minus {
 			foundMinus = true
 		}
 	}

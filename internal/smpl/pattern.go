@@ -205,7 +205,7 @@ func bareExpr(lf *ctoken.File, s cast.Stmt) (cast.Expr, bool) {
 	switch x := s.(type) {
 	case *cast.ExprStmt:
 		_, last := x.Span()
-		if lf.Tokens[last].Is(";") {
+		if lf.Is(last, ";") {
 			return nil, false
 		}
 		return x.X, true

@@ -52,7 +52,7 @@ func TestQuickDeletionSound(t *testing.T) {
 			words[w] = true
 		}
 		for i := 0; i < n; i++ {
-			word := f.Tokens[i].Text
+			word := f.Text(i)
 			if i >= lo && i <= hi && words[word] {
 				return false // deleted word survived
 			}

@@ -209,14 +209,29 @@ func (e *EditSet) render(first, last int, lead string, override bool) (string, b
 	next := 0
 	prevDeleted := false
 	for i := first; i <= last; i++ {
+		for next < len(ins) && ins[next].Anchor < i {
+			next++
+		}
+		// A run of tokens that nothing deletes or anchors on renders as the
+		// source it spans, whitespace included: copy it in one piece.
+		if i > first || !override {
+			j := i
+			for j <= last && (next == len(ins) || ins[next].Anchor > j) && (len(e.del) == 0 || !e.del[j]) {
+				j++
+			}
+			if j > i {
+				sb.WriteString(e.file.WS(i))
+				sb.WriteString(e.file.Slice(i, j-1))
+				prevDeleted = false
+				i = j - 1
+				continue
+			}
+		}
 		ws := e.file.WS(i)
 		if i == first && override {
 			// The caller owns the bytes before the range; substitute the
 			// range-local whitespace (the anchor's own-line indentation).
 			ws = lead
-		}
-		for next < len(ins) && ins[next].Anchor < i {
-			next++
 		}
 		at := next
 		for next < len(ins) && ins[next].Anchor == i {
@@ -292,7 +307,7 @@ func (e *EditSet) render(first, last int, lead string, override bool) (string, b
 		}
 
 		if !deleted {
-			sb.WriteString(toks[i].Text)
+			sb.WriteString(e.file.Text(i))
 		}
 
 		for _, in := range inlineAfter {

@@ -28,8 +28,8 @@ func TestNoEditsIsIdentity(t *testing.T) {
 }
 
 func findTok(f *ctoken.File, text string) int {
-	for i, t := range f.Tokens {
-		if t.Text == text {
+	for i := range f.Tokens {
+		if f.Text(i) == text {
 			return i
 		}
 	}
@@ -55,8 +55,8 @@ func TestDeleteInline(t *testing.T) {
 	e := NewEditSet(f)
 	// delete "+k-1": tokens +,k,-,1 after the second i
 	idx := -1
-	for i, t := range f.Tokens {
-		if t.Text == "+" && f.Tokens[i+1].Text == "k" {
+	for i := range f.Tokens {
+		if f.Text(i) == "+" && f.Text(i+1) == "k" {
 			idx = i
 			break
 		}
@@ -172,11 +172,11 @@ func TestDeleteFunctionSpanningLines(t *testing.T) {
 	e := NewEditSet(f)
 	first := -1
 	last := -1
-	for i, t := range f.Tokens {
-		if t.Text == "drop" {
+	for i := range f.Tokens {
+		if f.Text(i) == "drop" {
 			first = i - 1 // the 'void' before drop
 		}
-		if first >= 0 && t.Text == "}" && i > first+3 {
+		if first >= 0 && f.Text(i) == "}" && i > first+3 {
 			last = i
 			break
 		}

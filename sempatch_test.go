@@ -4,6 +4,9 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/codegen"
+	"repro/internal/instrument"
 )
 
 const renamePatch = `@r@
@@ -163,5 +166,45 @@ func TestBatchParseFailureCountsParsed(t *testing.T) {
 	}
 	if st.Files != 3 || st.Errors != 1 || st.Parsed != 2 || st.Skipped != 1 || st.Changed != 1 {
 		t.Errorf("stats = %+v, want 3 files, 1 error, 2 parsed, 1 skipped, 1 changed", st)
+	}
+}
+
+// The paper's transitory-instrumentation workflow through the public
+// applier: inserting each marker API's calls and then removing them gives
+// the input back byte for byte.
+func TestInstrumentInsertRemoveRoundtrip(t *testing.T) {
+	src := codegen.OpenMP(codegen.Config{Funcs: 8, StmtsPerFunc: 2, Seed: 12})
+	for _, name := range []string{"likwid", "scorep", "caliper"} {
+		api := instrument.APIs[name]
+		ins, err := instrument.InsertPatch(api, instrument.Selector{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rem, err := instrument.RemovePatch(api, instrument.Selector{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pi, err := ParsePatch("i.cocci", ins)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pr, err := ParsePatch("r.cocci", rem)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r1, err := NewApplier(pi, Options{}).Apply(File{Name: "a.c", Src: src})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r1.Outputs["a.c"] == src {
+			t.Fatalf("%s: inserting markers changed nothing", name)
+		}
+		r2, err := NewApplier(pr, Options{}).Apply(File{Name: "a.c", Src: r1.Outputs["a.c"]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r2.Outputs["a.c"] != src {
+			t.Errorf("%s: insert then remove did not give the input back:\n%s", name, Diff("a.c", src, r2.Outputs["a.c"]))
+		}
 	}
 }

@@ -1,7 +1,7 @@
 package sempatch
 
 // The benchmark harness regenerates every experiment of the paper's Section
-// 3 (L1..L14, one benchmark each) plus the cross-cutting studies S3..S6.
+// 3 (L1..L14, one benchmark each) plus cross-cutting studies (S6: AoS to SoA).
 // The scaling studies S1 (file size) and S2 (rule count) are tests now:
 // TestScalingFileSizeIncremental and TestScalingRulesNoMatch in
 // internal/core. Run with:
@@ -19,7 +19,6 @@ import (
 	"testing"
 
 	"repro/internal/codegen"
-	"repro/internal/hipify"
 	"repro/internal/patchlib"
 	"repro/internal/smpl"
 )
@@ -56,28 +55,6 @@ func BenchmarkL12StlFind(b *testing.B)       { benchExperiment(b, "L12") }
 func BenchmarkL13Kokkos(b *testing.B)        { benchExperiment(b, "L13") }
 func BenchmarkL14PragmaInject(b *testing.B)  { benchExperiment(b, "L14") }
 func BenchmarkAoSSoA(b *testing.B)           { benchExperiment(b, "S6") }
-
-// S3: AST-level vs text-level CUDA-to-HIP translation (the hipify-perl
-// design-point comparison). The text baseline is faster but unsafe; the
-// paper's argument is that AST-level matching buys correctness at modest
-// cost — the ratio is what this benchmark reports.
-func BenchmarkHipifyASTvsText(b *testing.B) {
-	src := codegen.CUDA(codegen.Config{Funcs: 16, StmtsPerFunc: 3, Seed: 3})
-	b.Run("ast", func(b *testing.B) {
-		b.SetBytes(int64(len(src)))
-		for i := 0; i < b.N; i++ {
-			if _, _, err := hipify.Translate("b.cu", src); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("text", func(b *testing.B) {
-		b.SetBytes(int64(len(src)))
-		for i := 0; i < b.N; i++ {
-			hipify.TextHipify(src)
-		}
-	})
-}
 
 // Patch-parsing cost: every experiment's .cocci text.
 func BenchmarkPatchParse(b *testing.B) {

@@ -1,9 +1,9 @@
 package sempatch
 
 // End-to-end tests for the HPC campaign CLIs (gocci-hipify, gocci-acc2omp)
-// and gocci --list-campaigns: the campaign path must agree byte-for-byte
-// with the --legacy walkers, warm cache runs must report zero parses, and
-// --verify must demote unsafe edits with visible warnings.
+// and gocci --list-campaigns: the tools must write the expected outputs in
+// internal/hpc/testdata byte for byte, warm cache runs must report zero
+// parses, and --verify must demote unsafe edits with visible warnings.
 
 import (
 	"os"
@@ -13,33 +13,21 @@ import (
 	"testing"
 )
 
-// cliCUDASrc stays inside the campaign's documented envelope (docs/hpc.md):
-// type renames in declaration-statement position, launches in the
-// four-argument form — the same shapes the fixture corpora exercise.
-const cliCUDASrc = `#include <cuda_runtime.h>
-
-__global__ void dev_scale(int n, float *a) {
-	int i = blockIdx.x * blockDim.x + threadIdx.x;
-	if (i < n) a[i] = a[i] * 2.0f;
+// hpcFixture reads one input of the HPC campaigns' golden corpus and its
+// expected output under the given suffix.
+func hpcFixture(t *testing.T, name, suffix string) (src, want string) {
+	t.Helper()
+	path := filepath.Join("internal", "hpc", "testdata", name)
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := os.ReadFile(path + suffix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b), string(w)
 }
-
-int run(int n, float *d_a) {
-	cudaStream_t stream;
-	cudaError_t err = cudaMalloc((void **)&d_a, n * sizeof(float));
-	if (err != cudaSuccess) return 1;
-	dev_scale<<<(n + 255) / 256, 256, 0, stream>>>(n, d_a);
-	cudaStreamSynchronize(stream);
-	cudaFree(d_a);
-	return 0;
-}
-`
-
-const cliACCSrc = `void saxpy(int n, float a, float *x, float *y) {
-#pragma acc parallel loop
-	for (int i = 0; i < n; ++i)
-		y[i] = a * x[i] + y[i];
-}
-`
 
 func TestCLIListCampaigns(t *testing.T) {
 	if testing.Short() {
@@ -58,30 +46,24 @@ func TestCLIListCampaigns(t *testing.T) {
 	}
 }
 
-// TestCLIHipifyCampaignParity pins the campaign CLI byte-identical to
-// --legacy, for both the diff output and the rewritten file.
+// TestCLIHipifyCampaignParity pins the CLI's in-place rewrite to the
+// campaign's expected output, and checks the diff mode prints the change.
 func TestCLIHipifyCampaignParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
 	bin := buildTool(t, "gocci-hipify")
+	src, want := hpcFixture(t, "hipify/cli.cu", ".golden")
 	file := filepath.Join(t.TempDir(), "app.cu")
-	if err := os.WriteFile(file, []byte(cliCUDASrc), 0o644); err != nil {
+	if err := os.WriteFile(file, []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	campaign, err := exec.Command(bin, file).Output()
+	diff, err := exec.Command(bin, file).Output()
 	if err != nil {
 		t.Fatalf("gocci-hipify: %v", err)
 	}
-	legacy, err := exec.Command(bin, "--legacy", file).Output()
-	if err != nil {
-		t.Fatalf("gocci-hipify --legacy: %v", err)
-	}
-	if len(campaign) == 0 || !strings.Contains(string(campaign), "hipMalloc") {
-		t.Fatalf("campaign produced no translation:\n%s", campaign)
-	}
-	if string(campaign) != string(legacy) {
-		t.Errorf("campaign and legacy diffs diverge:\n--- campaign\n%s\n--- legacy\n%s", campaign, legacy)
+	if !strings.Contains(string(diff), "+\thipError_t err = hipMalloc") {
+		t.Fatalf("diff lacks the translation:\n%s", diff)
 	}
 
 	// --in-place goes through the atomic writer and preserves permissions.
@@ -95,8 +77,8 @@ func TestCLIHipifyCampaignParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(b), "hipLaunchKernelGGL") {
-		t.Errorf("in-place result not translated:\n%s", b)
+	if string(b) != want {
+		t.Errorf("in-place result differs from the expected output:\n%s", b)
 	}
 	if info, _ := os.Stat(file); info.Mode().Perm() != 0o640 {
 		t.Errorf("permissions not preserved: %v", info.Mode().Perm())
@@ -108,29 +90,25 @@ func TestCLIAcc2ompCampaignParity(t *testing.T) {
 		t.Skip("short mode")
 	}
 	bin := buildTool(t, "gocci-acc2omp")
-	file := filepath.Join(t.TempDir(), "saxpy.c")
-	if err := os.WriteFile(file, []byte(cliACCSrc), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	for _, offload := range []bool{false, true} {
-		args := []string{file}
-		if offload {
-			args = []string{"--offload", file}
+	for _, mode := range []string{"host", "offload"} {
+		src, want := hpcFixture(t, "acc2omp/cli.c", "."+mode+".golden")
+		file := filepath.Join(t.TempDir(), "saxpy.c")
+		if err := os.WriteFile(file, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
 		}
-		campaign, err := exec.Command(bin, args...).Output()
+		args := []string{"--in-place", file}
+		if mode == "offload" {
+			args = append([]string{"--offload"}, args...)
+		}
+		if out, err := exec.Command(bin, args...).CombinedOutput(); err != nil {
+			t.Fatalf("gocci-acc2omp %v: %v\n%s", args, err, out)
+		}
+		b, err := os.ReadFile(file)
 		if err != nil {
-			t.Fatalf("gocci-acc2omp %v: %v", args, err)
+			t.Fatal(err)
 		}
-		legacy, err := exec.Command(bin, append([]string{"--legacy"}, args...)...).Output()
-		if err != nil {
-			t.Fatalf("gocci-acc2omp --legacy %v: %v", args, err)
-		}
-		if !strings.Contains(string(campaign), "#pragma omp") {
-			t.Fatalf("campaign produced no translation (offload=%v):\n%s", offload, campaign)
-		}
-		if string(campaign) != string(legacy) {
-			t.Errorf("campaign and legacy diverge (offload=%v):\n--- campaign\n%s\n--- legacy\n%s",
-				offload, campaign, legacy)
+		if string(b) != want {
+			t.Errorf("%s: result differs from the expected output:\n%s", mode, b)
 		}
 	}
 }
@@ -142,9 +120,10 @@ func TestCLIHipifyWarmCacheStats(t *testing.T) {
 		t.Skip("short mode")
 	}
 	bin := buildTool(t, "gocci-hipify")
+	src, _ := hpcFixture(t, "hipify/cli.cu", ".golden")
 	tree := t.TempDir()
 	for _, name := range []string{"a.cu", "b.cu"} {
-		if err := os.WriteFile(filepath.Join(tree, name), []byte(cliCUDASrc), 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(tree, name), []byte(src), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,17 +1,16 @@
-// Command gocci-acc2omp translates OpenACC directives to OpenMP. The
-// default mode runs the shipped "acc2omp" semantic-patch campaign (the
-// paper's pragmainfo use case, with the directive translator as a script
-// rule — see internal/hpc) through the engine's batch runner, inheriting
-// the -j worker pool, recursive tree scanning, the prefilter, and the
-// persistent result cache; --verify adds the post-transform safety
-// checker, including the pragma round-trip test. --offload targets OpenMP
-// device offloading instead of host threading. --legacy (alias: --line)
-// selects the v0 line-oriented walker the paper contrasts the engine with.
+// Command gocci-acc2omp translates OpenACC directives to OpenMP by running
+// the shipped "acc2omp" semantic-patch campaign (the paper's pragmainfo use
+// case, with the directive translator as a script rule — see internal/hpc)
+// through the engine's batch runner, inheriting the -j worker pool,
+// recursive tree scanning, the prefilter, and the persistent result cache;
+// --verify adds the post-transform safety checker, including the pragma
+// round-trip test. --offload targets OpenMP device offloading instead of
+// host threading.
 //
 // Usage:
 //
-//	gocci-acc2omp [--legacy] [--offload] [--in-place] [--stats] [--verify]
-//	              [-j N] [-r] [--cache-dir DIR] file.c ...
+//	gocci-acc2omp [--offload] [--in-place] [--stats] [--verify] [-j N] [-r]
+//	              [--cache-dir DIR] file.c ...
 package main
 
 import (
@@ -20,7 +19,6 @@ import (
 	"os"
 	"runtime"
 
-	"repro/internal/accomp"
 	"repro/internal/buildinfo"
 	"repro/internal/hpc"
 	"repro/internal/hpccli"
@@ -28,8 +26,6 @@ import (
 
 func main() {
 	showVersion := buildinfo.Setup("gocci-acc2omp")
-	legacy := flag.Bool("legacy", false, "use the v0 line-oriented walker instead of the shipped campaign")
-	lineMode := flag.Bool("line", false, "alias for --legacy")
 	offload := flag.Bool("offload", false, "target OpenMP device offloading instead of host threading")
 	inPlace := flag.Bool("in-place", false, "rewrite files instead of printing diffs")
 	stats := flag.Bool("stats", false, "print translation statistics")
@@ -43,32 +39,17 @@ func main() {
 	buildinfo.HandleVersion("gocci-acc2omp", showVersion)
 
 	if flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "usage: gocci-acc2omp [--legacy] [--offload] [--in-place] [--stats] [--verify] [-j N] [-r] [--cache-dir DIR] file.c ...")
+		fmt.Fprintln(os.Stderr, "usage: gocci-acc2omp [--offload] [--in-place] [--stats] [--verify] [-j N] [-r] [--cache-dir DIR] file.c ...")
 		os.Exit(2)
 	}
-	mode, campaign := accomp.Host, "acc2omp"
+	name := "acc2omp"
 	if *offload {
-		mode, campaign = accomp.Offload, "acc2omp-offload"
+		name = "acc2omp-offload"
 	}
-
-	spec := hpccli.Spec{
-		Tool: "gocci-acc2omp", InPlace: *inPlace, Stats: *stats, Verify: *verify,
+	campaign, _ := hpc.ByName(name)
+	os.Exit(hpccli.Run(hpccli.Spec{
+		Tool: "gocci-acc2omp", Campaign: campaign, InPlace: *inPlace, Stats: *stats, Verify: *verify,
 		Recurse: *recurse, Workers: *workers, CacheDir: *cacheDir,
 		TracePath: *tracePath, Profile: *profile, Args: flag.Args(),
-	}
-	if *legacy || *lineMode {
-		spec.Legacy = func(path, src string) (string, error) {
-			out, warns, err := accomp.TranslateSource(src, mode)
-			if err != nil {
-				return "", err
-			}
-			for _, w := range warns {
-				fmt.Fprintf(os.Stderr, "warning: %s: %s\n", w.What, w.Why)
-			}
-			return out, nil
-		}
-	} else {
-		spec.Campaign, _ = hpc.ByName(campaign)
-	}
-	os.Exit(hpccli.Run(spec))
+	}))
 }

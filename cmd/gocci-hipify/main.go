@@ -1,15 +1,13 @@
-// Command gocci-hipify translates CUDA sources to HIP. The default mode
-// runs the shipped "hipify" semantic-patch campaign (see internal/hpc)
-// through the engine's batch runner, so it inherits the -j worker pool,
-// recursive tree scanning, the prefilter, and the persistent result cache;
-// --verify adds the post-transform safety checker, demoting unsafe edits
-// to warnings. --legacy selects the v0 AST walker and --text the
-// hipify-perl style dictionary substitution baseline for comparison.
+// Command gocci-hipify translates CUDA sources to HIP by running the
+// shipped "hipify" semantic-patch campaign (see internal/hpc) through the
+// engine's batch runner, so it inherits the -j worker pool, recursive tree
+// scanning, the prefilter, and the persistent result cache; --verify adds
+// the post-transform safety checker, demoting unsafe edits to warnings.
 //
 // Usage:
 //
-//	gocci-hipify [--legacy|--text] [--in-place] [--stats] [--verify]
-//	             [-j N] [-r] [--cache-dir DIR] file.cu ...
+//	gocci-hipify [--in-place] [--stats] [--verify] [-j N] [-r]
+//	             [--cache-dir DIR] file.cu ...
 package main
 
 import (
@@ -19,15 +17,12 @@ import (
 	"runtime"
 
 	"repro/internal/buildinfo"
-	"repro/internal/hipify"
 	"repro/internal/hpc"
 	"repro/internal/hpccli"
 )
 
 func main() {
 	showVersion := buildinfo.Setup("gocci-hipify")
-	legacy := flag.Bool("legacy", false, "use the v0 AST-walker translator instead of the shipped campaign")
-	text := flag.Bool("text", false, "use the text-level (hipify-perl style) baseline")
 	inPlace := flag.Bool("in-place", false, "rewrite files instead of printing diffs")
 	stats := flag.Bool("stats", false, "print translation statistics")
 	verify := flag.Bool("verify", false, "run the post-transform safety checker; unsafe edits are demoted to warnings")
@@ -40,39 +35,13 @@ func main() {
 	buildinfo.HandleVersion("gocci-hipify", showVersion)
 
 	if flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "usage: gocci-hipify [--legacy|--text] [--in-place] [--stats] [--verify] [-j N] [-r] [--cache-dir DIR] file.cu ...")
+		fmt.Fprintln(os.Stderr, "usage: gocci-hipify [--in-place] [--stats] [--verify] [-j N] [-r] [--cache-dir DIR] file.cu ...")
 		os.Exit(2)
 	}
-
-	spec := hpccli.Spec{
-		Tool: "gocci-hipify", InPlace: *inPlace, Stats: *stats, Verify: *verify,
+	campaign, _ := hpc.ByName("hipify")
+	os.Exit(hpccli.Run(hpccli.Spec{
+		Tool: "gocci-hipify", Campaign: campaign, InPlace: *inPlace, Stats: *stats, Verify: *verify,
 		Recurse: *recurse, Workers: *workers, CacheDir: *cacheDir,
 		TracePath: *tracePath, Profile: *profile, Args: flag.Args(),
-	}
-	switch {
-	case *text:
-		spec.Legacy = func(path, src string) (string, error) {
-			out, n := hipify.TextHipify(src)
-			if *stats {
-				fmt.Fprintf(os.Stderr, "%s: %d text substitutions\n", path, n)
-			}
-			return out, nil
-		}
-	case *legacy:
-		spec.Legacy = func(path, src string) (string, error) {
-			out, rep, err := hipify.Translate(path, src)
-			if err != nil {
-				return "", err
-			}
-			if *stats {
-				fmt.Fprintf(os.Stderr,
-					"%s: %d funcs, %d types, %d enums, %d launches, %d headers\n",
-					path, rep.Functions, rep.Types, rep.Enums, rep.Launches, rep.Headers)
-			}
-			return out, nil
-		}
-	default:
-		spec.Campaign, _ = hpc.ByName("hipify")
-	}
-	os.Exit(hpccli.Run(spec))
+	}))
 }

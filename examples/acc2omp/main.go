@@ -1,38 +1,37 @@
-// Acc2omp: the paper's directive-translation use case (L11). A pragmainfo
-// metavariable captures each OpenACC directive body, a script rule runs the
-// real directive/clause translator, and the final rule swaps the pragma —
-// all at the AST level, immune to line continuations and spacing.
+// Acc2omp: the paper's directive-translation use case (L11) as the shipped
+// acc2omp campaigns. A pragmainfo metavariable captures each OpenACC
+// directive body, a script rule runs the directive/clause translator, and
+// the final rule swaps the pragma — all at the AST level, immune to line
+// continuations and spacing — once for host threading and once for device
+// offloading.
 package main
 
 import (
 	"fmt"
 	"log"
 
-	"repro/internal/accomp"
+	sempatch "repro"
 	"repro/internal/codegen"
-	"repro/internal/patchlib"
+	"repro/internal/hpc"
 )
 
 func main() {
 	src := codegen.OpenACC(codegen.Config{Funcs: 3, StmtsPerFunc: 1, Seed: 11})
-
-	exp, _ := patchlib.ByID("L11")
-	res, _, err := exp.RunOn(src)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("=== semantic patch translation (host mode) ===")
-	fmt.Print(res.Diffs["L11.c"])
-
-	// The same translator, straight line-oriented (what the paper contrasts
-	// the engine against), in offload mode.
-	out, warns, err := accomp.TranslateSource(src, accomp.Offload)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("\n=== line-oriented translation (offload mode) ===")
-	fmt.Print(out)
-	for _, w := range warns {
-		fmt.Printf("warning: %s: %s\n", w.What, w.Why)
+	for _, name := range []string{"acc2omp", "acc2omp-offload"} {
+		c, _ := hpc.ByName(name)
+		ca, err := c.Build(sempatch.Options{})
+		if err != nil {
+			log.Fatal(err)
+		}
+		_, err = ca.ApplyAllFunc([]sempatch.File{{Name: "app.c", Src: src}}, func(fr sempatch.CampaignFileResult) error {
+			if fr.Err != nil {
+				return fr.Err
+			}
+			fmt.Printf("=== %s ===\n%s", c.Title, fr.Diff)
+			return nil
+		})
+		if err != nil {
+			log.Fatal(err)
+		}
 	}
 }

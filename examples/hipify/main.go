@@ -1,54 +1,47 @@
-// Hipify: the paper's CUDA-to-HIP use cases (L8, L9, L10) on a generated
-// CUDA mini-app — function dictionary, type dictionary, and triple-chevron
-// kernel-launch rewriting — followed by a comparison of the AST-level
-// translator against the hipify-perl-style text baseline on an adversarial
-// snippet where only the AST approach gets it right.
+// Hipify: the paper's CUDA-to-HIP use cases (L8, L9, L10) as the shipped
+// hipify campaign — function, type and enumerator dictionaries plus
+// triple-chevron kernel-launch rewriting — over a generated CUDA mini-app,
+// followed by an adversarial snippet where every CUDA name is a local
+// variable, a string or a comment, which the campaign leaves unchanged.
 package main
 
 import (
 	"fmt"
 	"log"
 
+	sempatch "repro"
 	"repro/internal/codegen"
-	"repro/internal/hipify"
-	"repro/internal/patchlib"
+	"repro/internal/hpc"
 )
 
 func main() {
-	src := codegen.CUDA(codegen.Config{Funcs: 1, StmtsPerFunc: 1, Seed: 3})
-
-	// Semantic-patch route: the kernel launch listing (L10).
-	exp, _ := patchlib.ByID("L10")
-	res, out, err := exp.RunOn(src)
+	c, _ := hpc.ByName("hipify")
+	ca, err := c.Build(sempatch.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("=== semantic patch (L10 kernel launches) ===")
-	fmt.Print(res.Diffs["L10.c"])
-	_ = out
-
-	// Whole-program AST translation.
-	full, rep, err := hipify.Translate("app.cu", src)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\n=== AST hipify: %d funcs, %d types, %d enums, %d launches, %d headers ===\n",
-		rep.Functions, rep.Types, rep.Enums, rep.Launches, rep.Headers)
-	fmt.Print(full)
-
-	// Where text substitution goes wrong.
 	adversarial := `void audit(void) {
 	int cudaMalloc = count_allocs();        // local variable, not the API
 	log_msg("direct cudaMalloc calls are forbidden");
 	record(cudaMalloc);
 }
 `
-	astOut, _, _ := hipify.Translate("audit.c", adversarial)
-	textOut, _ := hipify.TextHipify(adversarial)
-	fmt.Println("\n=== adversarial input ===")
-	fmt.Print(adversarial)
-	fmt.Println("=== AST translation (correct: nothing to do) ===")
-	fmt.Print(astOut)
-	fmt.Println("=== text baseline (wrong: renames the local and the string) ===")
-	fmt.Print(textOut)
+	files := []sempatch.File{
+		{Name: "app.cu", Src: codegen.CUDA(codegen.Config{Funcs: 1, StmtsPerFunc: 1, Seed: 3})},
+		{Name: "audit.c", Src: adversarial},
+	}
+	_, err = ca.ApplyAllFunc(files, func(fr sempatch.CampaignFileResult) error {
+		if fr.Err != nil {
+			return fr.Err
+		}
+		if fr.Diff == "" {
+			fmt.Printf("=== %s: unchanged ===\n", fr.Name)
+			return nil
+		}
+		fmt.Printf("=== %s ===\n%s", fr.Name, fr.Diff)
+		return nil
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
 }

@@ -291,35 +291,3 @@ func Translate(body string, mode Mode) (string, []Warning, error) {
 	}
 	return strings.Join(parts, " "), warns, nil
 }
-
-// TranslateSource rewrites every "#pragma acc ..." line of a C source into
-// its OpenMP counterpart, preserving all other lines byte-for-byte. It is
-// the line-oriented fallback the paper contrasts with the semantic patch
-// approach (which goes through internal/patchlib instead).
-func TranslateSource(src string, mode Mode) (string, []Warning, error) {
-	var warns []Warning
-	lines := strings.Split(src, "\n")
-	for i, line := range lines {
-		trimmed := strings.TrimSpace(line)
-		if !strings.HasPrefix(trimmed, "#pragma") {
-			continue
-		}
-		rest := strings.TrimSpace(strings.TrimPrefix(trimmed, "#pragma"))
-		if !strings.HasPrefix(rest, "acc") {
-			continue
-		}
-		body := strings.TrimSpace(strings.TrimPrefix(rest, "acc"))
-		omp, w, err := Translate(body, mode)
-		warns = append(warns, w...)
-		if err != nil {
-			return "", warns, fmt.Errorf("line %d: %w", i+1, err)
-		}
-		indent := line[:len(line)-len(strings.TrimLeft(line, " \t"))]
-		if omp == "" {
-			lines[i] = indent + "// (removed: #pragma acc " + body + ")"
-		} else {
-			lines[i] = indent + "#pragma omp " + omp
-		}
-	}
-	return strings.Join(lines, "\n"), warns, nil
-}

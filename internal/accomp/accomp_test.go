@@ -1,7 +1,6 @@
 package accomp
 
 import (
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -128,44 +127,6 @@ func TestTranslateSeqIndependentSilent(t *testing.T) {
 	}
 	if len(warns) != 0 {
 		t.Errorf("seq/independent should drop silently: %+v", warns)
-	}
-}
-
-func TestTranslateSource(t *testing.T) {
-	src := `#include <stdio.h>
-void saxpy(int n, float a, float *x, float *y) {
-#pragma acc parallel loop copy(y[0:n]) copyin(x[0:n])
-	for (int i = 0; i < n; ++i)
-		y[i] = a * x[i] + y[i];
-}
-`
-	out, warns, err := TranslateSource(src, Host)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(warns) != 0 {
-		t.Errorf("warnings: %+v", warns)
-	}
-	if !strings.Contains(out, "#pragma omp parallel for map(tofrom: y[0:n]) map(to: x[0:n])") {
-		t.Errorf("translation wrong:\n%s", out)
-	}
-	if strings.Contains(out, "acc") {
-		t.Errorf("acc remnants:\n%s", out)
-	}
-	// untouched lines stay identical
-	if !strings.Contains(out, "#include <stdio.h>") || !strings.Contains(out, "y[i] = a * x[i] + y[i];") {
-		t.Errorf("unrelated lines changed:\n%s", out)
-	}
-}
-
-func TestTranslateSourcePreservesIndent(t *testing.T) {
-	src := "void f(){\n\t#pragma acc loop\n\tfor(;;);\n}\n"
-	out, _, err := TranslateSource(src, Host)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "\t#pragma omp for") {
-		t.Errorf("indentation lost:\n%s", out)
 	}
 }
 

@@ -48,9 +48,10 @@ func FunctionLocalRule(c *Compiled) *smpl.Rule {
 //     numbers, so a cached segment result would go stale when the segment
 //     moves without changing.
 //   - the pattern is anchored — a declaration pattern of exactly one
-//     declaration, or a statement pattern with at least one element that is
-//     neither dots nor a statement-list metavariable — so every match covers
-//     at least one code token and lies inside one window.
+//     declaration, a statement pattern with at least one element that is
+//     neither dots nor a statement-list metavariable, or a type pattern,
+//     whose match is one token — so every match covers at least one code
+//     token and lies inside one window.
 //   - no per-rule match cap (MaxMatchesPerRule), which counts across the
 //     whole file.
 //   - quantified dots (`when strict`/`when forall`) the pattern's engine

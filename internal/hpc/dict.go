@@ -1,10 +1,8 @@
-// Package hipify translates CUDA API usage to AMD HIP, the paper's
-// "Translation of very similar APIs" use case. It provides the token
-// dictionaries (functions, types, enumerators, headers), an AST-level
-// translator built on the engine's substrates, and a text-level baseline
-// that mirrors hipify-perl's design point: dictionary substitution without
-// a syntax tree.
-package hipify
+// The CUDA→HIP dictionaries the hipify campaign's member patches are
+// generated from: functions, types, enumerators and headers, the paper's
+// "Translation of very similar APIs" use case.
+
+package hpc
 
 // Functions maps CUDA runtime/library function names to HIP equivalents.
 // The subset covers the runtime, memory, stream, event, curand and cublas
@@ -179,20 +177,4 @@ var Headers = map[string]string{
 	"cublas_v2.h":          "hipblas/hipblas.h",
 	"cuda_fp16.h":          "hip/hip_fp16.h",
 	"cooperative_groups.h": "hip/hip_cooperative_groups.h",
-}
-
-// All merges every identifier dictionary (functions, types, enums) for
-// token-level baselines.
-func All() map[string]string {
-	out := make(map[string]string, len(Functions)+len(Types)+len(Enums))
-	for k, v := range Functions {
-		out[k] = v
-	}
-	for k, v := range Types {
-		out[k] = v
-	}
-	for k, v := range Enums {
-		out[k] = v
-	}
-	return out
 }

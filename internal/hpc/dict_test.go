@@ -1,13 +1,16 @@
-package hipify
+package hpc
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	sempatch "repro"
 )
 
-// TestStreamEventEntries pins the CUDA stream/event API coverage added for
-// the shipped hipify campaign: each entry must map to its hip* counterpart
-// and actually translate in call position.
+// TestStreamEventEntries pins the CUDA stream/event API coverage of the
+// dictionaries: each entry must map to its hip* counterpart.
 func TestStreamEventEntries(t *testing.T) {
 	cases := []struct {
 		table map[string]string
@@ -45,24 +48,14 @@ func TestStreamEventEntries(t *testing.T) {
 }
 
 // TestStreamCaptureTranslates runs a stream-capture snippet through the
-// legacy AST walker end to end.
+// hipify campaign end to end.
 func TestStreamCaptureTranslates(t *testing.T) {
-	src := `int f(cudaStream_t s) {
-	cudaStreamCaptureStatus st = cudaStreamCaptureStatusNone;
-	cudaStreamBeginCapture(s, cudaStreamCaptureModeGlobal);
-	cudaStreamIsCapturing(s, &st);
-	cudaGraph_t g;
-	cudaStreamEndCapture(s, &g);
-	return 0;
-}
-`
-	out, rep, err := Translate("cap.cu", src)
+	src, err := os.ReadFile(filepath.Join("testdata", "hipify", "capture.cu"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Total() == 0 {
-		t.Fatal("nothing translated")
-	}
+	c, _ := ByName("hipify")
+	out, _ := applyOne(t, c, sempatch.Options{}, "cap.cu", string(src))
 	for _, want := range []string{
 		"hipStream_t s",
 		"hipStreamCaptureStatus st = hipStreamCaptureStatusNone",
@@ -77,5 +70,36 @@ func TestStreamCaptureTranslates(t *testing.T) {
 	}
 	if strings.Contains(out, "cuda") {
 		t.Errorf("untranslated CUDA names remain:\n%s", out)
+	}
+}
+
+func TestDictionariesDisjointValues(t *testing.T) {
+	// No CUDA name maps to another CUDA name (substitution must be a
+	// fixpoint: applying the dictionary twice equals applying it once).
+	all := map[string]string{}
+	for _, m := range []map[string]string{Functions, Types, Enums} {
+		for k, v := range m {
+			all[k] = v
+		}
+	}
+	for from, to := range all {
+		if _, isKey := all[to]; isKey && to != from {
+			t.Errorf("dictionary not idempotent: %s -> %s which is also a key", from, to)
+		}
+	}
+}
+
+func TestDictionariesNonEmptyTargets(t *testing.T) {
+	for _, m := range []map[string]string{Functions, Types, Enums} {
+		for k, v := range m {
+			if v == "" {
+				t.Errorf("empty translation for %s", k)
+			}
+		}
+	}
+	for k, v := range Headers {
+		if v == "" || k == v {
+			t.Errorf("suspicious header mapping %s -> %s", k, v)
+		}
 	}
 }

@@ -1,27 +1,24 @@
 // The hipify campaign: CUDA→HIP translation (patchlib L8–L10) shipped as a
 // batch campaign whose SmPL text is *generated* from the live dictionaries
-// in internal/hipify. Each dictionary family becomes one member patch —
-// headers, functions (renamed only in call position), types (renamed only
-// in declaration position), enumerators, and the triple-chevron kernel
-// launch — applied in that order. Because every dictionary entry is spelled
-// out in the generated patch text, the persistent result cache keys on the
+// in dict.go. Each dictionary family becomes one member patch —
+// headers, functions (renamed only in call position), types (renamed in
+// every type position), enumerators, and the triple-chevron kernel launch —
+// applied in that order. Because every dictionary entry is spelled out in
+// the generated patch text, the persistent result cache keys on the
 // dictionaries themselves: extending the function table reshapes the patch
 // and invalidates stale outcomes with no extra bookkeeping.
 //
 // The launch member is deliberately a single rule so it stays
 // function-local (core.FunctionLocal) and rides the per-function result
-// cache; it covers the four-argument <<<b,t,x,y>>> form the corpus
-// generator emits. Launches with fewer configuration arguments fall to the
-// legacy walker (--legacy), which pads the missing shared-memory/stream
-// arguments with 0.
+// cache; a disjunction covers the four-, three- and two-argument
+// <<<...>>> forms, padding the missing shared-memory and stream arguments
+// with 0 as HIP requires all four.
 
 package hpc
 
 import (
 	"sort"
 	"strings"
-
-	"repro/internal/hipify"
 )
 
 // sortedKeys returns m's keys whose mapping actually renames (identity
@@ -41,8 +38,8 @@ func sortedKeys(m map[string]string) []string {
 // hipifyHeadersPatch rewrites #include directives.
 func hipifyHeadersPatch() string {
 	var sb strings.Builder
-	for _, from := range sortedKeys(hipify.Headers) {
-		sb.WriteString("@@\n@@\n- #include <" + from + ">\n+ #include <" + hipify.Headers[from] + ">\n\n")
+	for _, from := range sortedKeys(Headers) {
+		sb.WriteString("@@\n@@\n- #include <" + from + ">\n+ #include <" + Headers[from] + ">\n\n")
 	}
 	return sb.String()
 }
@@ -52,23 +49,19 @@ func hipifyHeadersPatch() string {
 // fn(el) call pattern.
 func hipifyFuncsPatch() string {
 	var sb strings.Builder
-	for _, from := range sortedKeys(hipify.Functions) {
-		sb.WriteString("@@\nexpression list el;\n@@\n- " + from + "\n+ " + hipify.Functions[from] + "\n(el)\n\n")
+	for _, from := range sortedKeys(Functions) {
+		sb.WriteString("@@\nexpression list el;\n@@\n- " + from + "\n+ " + Functions[from] + "\n(el)\n\n")
 	}
 	return sb.String()
 }
 
-// hipifyTypesPatch renames type names in declaration-statement position,
-// with and without an initializer. Function-parameter, return-type, and
-// cast positions are outside the current SmPL grammar (a typed parameter
-// cannot appear in a pattern); sources using CUDA types there fall to the
-// legacy walker (--legacy), which renames every type position.
+// hipifyTypesPatch renames type names wherever the parser builds a type on
+// them — globals, return types, parameters, locals, pointer and array
+// declarators — through one `typedef` type-pattern rule per entry.
 func hipifyTypesPatch() string {
 	var sb strings.Builder
-	for _, from := range sortedKeys(hipify.Types) {
-		to := hipify.Types[from]
-		sb.WriteString("@@\nidentifier i;\n@@\n- " + from + " i;\n+ " + to + " i;\n\n")
-		sb.WriteString("@@\nidentifier i;\nexpression e;\n@@\n- " + from + " i = e;\n+ " + to + " i = e;\n\n")
+	for _, from := range sortedKeys(Types) {
+		sb.WriteString("@@\ntypedef " + from + ";\n@@\n- " + from + "\n+ " + Types[from] + "\n\n")
 	}
 	return sb.String()
 }
@@ -76,21 +69,29 @@ func hipifyTypesPatch() string {
 // hipifyEnumsPatch renames enumerator constants in expression position.
 func hipifyEnumsPatch() string {
 	var sb strings.Builder
-	for _, from := range sortedKeys(hipify.Enums) {
-		sb.WriteString("@@\n@@\n- " + from + "\n+ " + hipify.Enums[from] + "\n\n")
+	for _, from := range sortedKeys(Enums) {
+		sb.WriteString("@@\n@@\n- " + from + "\n+ " + Enums[from] + "\n\n")
 	}
 	return sb.String()
 }
 
-// hipifyLaunchPatch rewrites the four-argument triple-chevron launch to
-// hipLaunchKernelGGL. Kept a single rule so the patch stays function-local.
+// hipifyLaunchPatch rewrites triple-chevron launches to hipLaunchKernelGGL.
+// Kept a single rule so the patch stays function-local.
 const hipifyLaunchPatch = `@@
 identifier k;
 expression b,t,x,y;
 expression list el;
 @@
+(
 - k<<<b,t,x,y>>>(el)
 + hipLaunchKernelGGL(k, b, t, x, y, el)
+|
+- k<<<b,t,x>>>(el)
++ hipLaunchKernelGGL(k, b, t, x, 0, el)
+|
+- k<<<b,t>>>(el)
++ hipLaunchKernelGGL(k, b, t, 0, 0, el)
+)
 `
 
 // hipifyCampaign builds the CUDA→HIP campaign from the live dictionaries.

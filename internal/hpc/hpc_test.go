@@ -7,12 +7,13 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"testing/quick"
 
 	sempatch "repro"
-	"repro/internal/accomp"
 	"repro/internal/codegen"
+	"repro/internal/core"
 	"repro/internal/cparse"
-	"repro/internal/hipify"
+	"repro/internal/smpl"
 )
 
 // applyOne runs a campaign over one in-memory file and returns the output.
@@ -72,7 +73,7 @@ func TestHipifyPatchTextTracksDictionary(t *testing.T) {
 	c := hipifyCampaign()
 	funcs := c.PatchText("hipify-funcs.cocci")
 	for _, name := range []string{"cudaStreamCreateWithPriority", "cudaStreamBeginCapture", "cudaEventRecordWithFlags"} {
-		if !strings.Contains(funcs, "- "+name+"\n+ "+hipify.Functions[name]) {
+		if !strings.Contains(funcs, "- "+name+"\n+ "+Functions[name]) {
 			t.Errorf("funcs patch missing dictionary entry %s", name)
 		}
 	}
@@ -85,77 +86,162 @@ func TestHipifyPatchTextTracksDictionary(t *testing.T) {
 	}
 }
 
-// TestHipifyParity pins the campaign byte-identical to the legacy AST
-// walker across the fixture corpus shapes (the acceptance criterion).
+// TestHipifyParity pins the campaign byte for byte to testdata/hipify,
+// whose expected outputs were written by the AST walker the campaign
+// replaced: the generated corpus shapes, the CLI fixture, and every CUDA
+// type position and launch form the walker covered.
 func TestHipifyParity(t *testing.T) {
 	c, _ := ByName("hipify")
-	cases := []struct {
-		shape string
-		gen   func(codegen.Config) string
-		cfg   codegen.Config
-	}{
-		{"cuda", codegen.CUDA, codegen.Config{Funcs: 2, StmtsPerFunc: 1, Seed: 1}},
-		{"cuda", codegen.CUDA, codegen.Config{Funcs: 3, StmtsPerFunc: 2, Seed: 20250326}},
-		{"cuda", codegen.CUDA, codegen.Config{Funcs: 5, StmtsPerFunc: 3, Seed: 7}},
-		{"curand", codegen.Curand, codegen.Config{Funcs: 2, StmtsPerFunc: 2, Seed: 1}},
-		{"curand", codegen.Curand, codegen.Config{Funcs: 4, StmtsPerFunc: 1, Seed: 42}},
+	checkGoldens(t, c, "hipify", ".golden")
+}
+
+// TestAcc2ompParity pins both acc2omp campaigns to testdata/acc2omp, whose
+// expected outputs were written by the line walker the campaigns replaced.
+func TestAcc2ompParity(t *testing.T) {
+	for _, mode := range []string{"host", "offload"} {
+		name := "acc2omp"
+		if mode == "offload" {
+			name += "-offload"
+		}
+		c, _ := ByName(name)
+		checkGoldens(t, c, "acc2omp", "."+mode+".golden")
 	}
-	for _, tc := range cases {
-		src := tc.gen(tc.cfg)
-		name := tc.shape + ".cu"
-		legacy, rep, err := hipify.Translate(name, src)
+}
+
+// checkGoldens runs the campaign over every input of testdata/dir that has
+// an expected output, the file named input+suffix.
+func checkGoldens(t *testing.T, c *Campaign, dir, suffix string) {
+	t.Helper()
+	wants, err := filepath.Glob(filepath.Join("testdata", dir, "*"+suffix))
+	if err != nil || len(wants) == 0 {
+		t.Fatalf("no %s goldens in testdata/%s: %v", suffix, dir, err)
+	}
+	for _, want := range wants {
+		in := strings.TrimSuffix(want, suffix)
+		src, err := os.ReadFile(in)
 		if err != nil {
-			t.Fatalf("legacy %s: %v", tc.shape, err)
+			t.Fatal(err)
 		}
-		if rep.Total() == 0 {
-			t.Fatalf("%s: fixture exercises nothing", tc.shape)
+		exp, err := os.ReadFile(want)
+		if err != nil {
+			t.Fatal(err)
 		}
-		got, _ := applyOne(t, c, sempatch.Options{}, name, src)
-		if got != legacy {
-			t.Errorf("%s (funcs=%d stmts=%d seed=%d): campaign diverges from legacy:\n--- legacy\n%s\n--- campaign\n%s",
-				tc.shape, tc.cfg.Funcs, tc.cfg.StmtsPerFunc, tc.cfg.Seed, legacy, got)
+		if string(exp) == string(src) {
+			t.Errorf("%s: fixture exercises nothing", in)
+		}
+		if got, _ := applyOne(t, c, sempatch.Options{}, filepath.Base(in), string(src)); got != string(exp) {
+			t.Errorf("%s: campaign %s diverges from %s:\n%s", in, c.Name, want, got)
 		}
 	}
 }
 
-// TestAcc2ompParity pins both acc2omp campaigns byte-identical to the
-// legacy line walker on the generated OpenACC corpus.
-func TestAcc2ompParity(t *testing.T) {
-	for _, offload := range []bool{false, true} {
-		name := "acc2omp"
-		mode := accomp.Host
-		if offload {
-			name, mode = "acc2omp-offload", accomp.Offload
-		}
-		c, _ := ByName(name)
-		for _, cfg := range []codegen.Config{
-			{Funcs: 2, StmtsPerFunc: 1, Seed: 1},
-			{Funcs: 3, StmtsPerFunc: 1, Seed: 20250326},
-			{Funcs: 6, StmtsPerFunc: 2, Seed: 99},
-		} {
-			src := codegen.OpenACC(cfg)
-			legacy, _, err := accomp.TranslateSource(src, mode)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, _ := applyOne(t, c, sempatch.Options{}, "acc.c", src)
-			if got != legacy {
-				t.Errorf("%s (funcs=%d seed=%d): campaign diverges from legacy:\n--- legacy\n%s\n--- campaign\n%s",
-					name, cfg.Funcs, cfg.Seed, legacy, got)
-			}
-		}
+// TestHipifyLeavesCollisionsAlone: identifiers that collide with API names
+// but are not API uses — a local variable, a string literal, a comment —
+// stay untouched, while the real call is renamed.
+func TestHipifyLeavesCollisionsAlone(t *testing.T) {
+	c, _ := ByName("hipify")
+	src := `void f(void) {
+	int cudaMalloc = 3;            // a (terrible) local variable name
+	const char *msg = "call cudaMalloc here";
+	use(cudaMalloc, msg);
+}
+`
+	if out, _ := applyOne(t, c, sempatch.Options{}, "t.cu", src); out != src {
+		t.Errorf("collisions rewritten:\n%s", out)
+	}
+}
+
+// TestHipifyLaunchPadsDefaults: HIP requires all four launch parameters, so
+// the shorter triple-chevron forms get 0 for the missing shared-memory size
+// and stream.
+func TestHipifyLaunchPadsDefaults(t *testing.T) {
+	c, _ := ByName("hipify")
+	src := "void f(void){ k<<<g, b>>>(x); k<<<g, b, m>>>(x, y); k<<<g, b, m, s>>>(x); }"
+	want := "void f(void){ hipLaunchKernelGGL(k, g, b, 0, 0, x); hipLaunchKernelGGL(k, g, b, m, 0, x, y); hipLaunchKernelGGL(k, g, b, m, s, x); }"
+	if out, _ := applyOne(t, c, sempatch.Options{}, "t.cu", src); out != want {
+		t.Errorf("got  %s\nwant %s", out, want)
+	}
+}
+
+// TestHipifyLaunchIsFunctionLocal: the launch member stays one rule, so it
+// keeps riding the per-function result cache.
+func TestHipifyLaunchIsFunctionLocal(t *testing.T) {
+	c, _ := ByName("hipify")
+	p, err := smpl.ParsePatch("hipify-launch.cocci", c.PatchText("hipify-launch.cocci"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !core.FunctionLocal(core.Compile(p), core.Options{}) {
+		t.Error("hipify-launch.cocci is not function-local")
+	}
+}
+
+// Property: the campaign is idempotent — running it over its own output
+// changes nothing.
+func TestQuickHipifyIdempotent(t *testing.T) {
+	c, _ := ByName("hipify")
+	snippets := []string{
+		"void f(void){ cudaMalloc(&p, n); }",
+		"void f(void){ cudaStream_t s; cudaStreamCreate(&s); }",
+		"void f(void){ k<<<g,b>>>(x); }",
+		"void f(void){ if (e != cudaSuccess) bail(); }",
+		"#include <cuda.h>\nint x;",
+	}
+	prop := func(pick uint8) bool {
+		src := snippets[int(pick)%len(snippets)]
+		once, _ := applyOne(t, c, sempatch.Options{}, "t.cu", src)
+		twice, _ := applyOne(t, c, sempatch.Options{}, "t.cu", once)
+		return once == twice
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 20}); err != nil {
+		t.Error(err)
+	}
+}
+
+// Property: translation never changes the number of lines (the paper's
+// reviewability argument: HIP output diffs line-for-line against CUDA).
+func TestQuickHipifyLinesPreserved(t *testing.T) {
+	c, _ := ByName("hipify")
+	prop := func(seed uint8) bool {
+		src := codegen.CUDA(codegen.Config{Funcs: 2, StmtsPerFunc: 2, Seed: int64(seed)})
+		out, _ := applyOne(t, c, sempatch.Options{}, "t.cu", src)
+		return out != src && strings.Count(out, "\n") == strings.Count(src, "\n")
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 5}); err != nil {
+		t.Error(err)
 	}
 }
 
 // TestHipifyTraceShowsRuleGate checks that a trace says why a rule did
 // nothing: over one CUDA file most of hipify's one-identifier rename rules
 // find their identifier absent, and their match spans carry the skip
-// outcome, while the rules that do fire still report their matches.
+// outcome, while the rules that do fire still report their matches. The
+// typedef rules are gated on their type name like the rest: over a file
+// without CUDA types, with the file-level prefilter off, each of them skips.
 func TestHipifyTraceShowsRuleGate(t *testing.T) {
 	c, _ := ByName("hipify")
-	tr := sempatch.NewTracer()
 	src := codegen.CUDA(codegen.Config{Funcs: 3, StmtsPerFunc: 2, Seed: 1})
-	applyOne(t, c, sempatch.Options{Tracer: tr}, "app.cu", src)
+	skipped, fired, _ := traceMatches(t, c, sempatch.Options{}, src)
+	if skipped == 0 || fired == 0 {
+		t.Errorf("match spans: %d with the skip outcome, %d with matches; want both > 0", skipped, fired)
+	}
+
+	types := &Campaign{Name: "types", CPlusPlus: true, CUDA: true,
+		members: []member{{name: "hipify-types.cocci", text: c.PatchText("hipify-types.cocci")}}}
+	skipped, _, total := traceMatches(t, types, sempatch.Options{NoPrefilter: true}, "int work(float *d, int n) {\n\tcudaMalloc((void **)&d, n);\n\treturn 0;\n}\n")
+	if want := len(sortedKeys(Types)); total != want || skipped != want {
+		t.Errorf("type rules over a file without CUDA types: %d match spans, %d skipped; want %d of each", total, skipped, want)
+	}
+}
+
+// traceMatches runs the campaign over src under a tracer and counts the
+// trace's match spans: those with the skip outcome, those with matches, and
+// all of them.
+func traceMatches(t *testing.T, c *Campaign, opts sempatch.Options, src string) (skipped, fired, total int) {
+	t.Helper()
+	tr := sempatch.NewTracer()
+	opts.Tracer = tr
+	applyOne(t, c, opts, "app.cu", src)
 	var buf bytes.Buffer
 	if err := tr.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -172,11 +258,11 @@ func TestHipifyTraceShowsRuleGate(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &trace); err != nil {
 		t.Fatal(err)
 	}
-	skipped, fired := 0, 0
 	for _, ev := range trace.TraceEvents {
 		if ev.Name != "match" {
 			continue
 		}
+		total++
 		if ev.Args.Outcome == "skip" {
 			skipped++
 		}
@@ -184,9 +270,7 @@ func TestHipifyTraceShowsRuleGate(t *testing.T) {
 			fired++
 		}
 	}
-	if skipped == 0 || fired == 0 {
-		t.Errorf("match spans: %d with the skip outcome, %d with matches; want both > 0", skipped, fired)
-	}
+	return skipped, fired, total
 }
 
 // TestHipifyVerifyParsesOnce: --verify shares its trees with the hipify
@@ -335,4 +419,55 @@ func TestHipifyVerifyDemotesCapture(t *testing.T) {
 			t.Errorf("safe edit demoted: %+v", ps)
 		}
 	}
+}
+
+// TestHipifyVerifyDemotesTypeCapture: a renamed type base inside a body
+// that declares a local of the new name is captured by that local, so
+// --verify demotes it.
+func TestHipifyVerifyDemotesTypeCapture(t *testing.T) {
+	src := "int f(int n) { int hipStream_t = n; cudaStream_t s; return hipStream_t; }\n"
+	if out, demoted := verifyOne(t, "seed.cu", src); out != src || !demoted["capture"] {
+		t.Errorf("want the type rename demoted as capture, got %v:\n%s", demoted, out)
+	}
+}
+
+// TestHipifyVerifyKeepsSignatureTypeRename: parameter and return types lie
+// outside the body's scope, so renaming them in a function that declares a
+// local of the new name is not a capture.
+func TestHipifyVerifyKeepsSignatureTypeRename(t *testing.T) {
+	src := "cudaStream_t f(cudaStream_t s) { int hipStream_t = 0; use(hipStream_t); return s; }\n"
+	want := "hipStream_t f(hipStream_t s) { int hipStream_t = 0; use(hipStream_t); return s; }\n"
+	if out, demoted := verifyOne(t, "sig.cu", src); out != want || len(demoted) != 0 {
+		t.Errorf("demoted %v; got  %swant %s", demoted, out, want)
+	}
+}
+
+// verifyOne runs the hipify campaign with --verify over one file and
+// returns the output and the codes of the warnings behind each demotion.
+func verifyOne(t *testing.T, name, src string) (string, map[string]bool) {
+	t.Helper()
+	c, _ := ByName("hipify")
+	ca, err := c.Build(sempatch.Options{Verify: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, demoted := src, map[string]bool{}
+	_, err = ca.ApplyAllFunc([]sempatch.File{{Name: name, Src: src}}, func(fr sempatch.CampaignFileResult) error {
+		if fr.Err != nil {
+			t.Fatalf("%s: %v", fr.Name, fr.Err)
+		}
+		out = fr.Output
+		for _, o := range fr.Patches {
+			for _, w := range o.Warnings {
+				if o.Demoted && w.Unsafe {
+					demoted[w.Code] = true
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out, demoted
 }

@@ -4,8 +4,7 @@
 // campaign through the engine's batch runner — inheriting the worker pool,
 // prefilter, per-function cache, and persistent result cache — and renders
 // diffs, in-place rewrites, verifier findings, and statistics in one
-// consistent format. The tools' v0 bespoke walkers stay available behind
-// --legacy through a per-tool callback.
+// consistent format.
 package hpccli
 
 import (
@@ -16,7 +15,6 @@ import (
 	sempatch "repro"
 	"repro/internal/cliutil"
 	"repro/internal/cparse"
-	"repro/internal/diff"
 	"repro/internal/hpc"
 )
 
@@ -24,34 +22,31 @@ import (
 type Spec struct {
 	// Tool is the binary name used as the message prefix.
 	Tool string
-	// Campaign is the shipped campaign to run; nil selects Legacy.
+	// Campaign is the shipped campaign to run.
 	Campaign *hpc.Campaign
-	// Legacy translates one file with the v0 walker (used when Campaign is
-	// nil); warnings it wants shown go directly to stderr.
-	Legacy func(path, src string) (string, error)
 	// InPlace rewrites files atomically instead of printing diffs.
 	InPlace bool
 	// Stats prints a summary (including the parse count) to stderr.
 	Stats bool
-	// Verify enables the post-transform safety checker (campaign runs only).
+	// Verify enables the post-transform safety checker.
 	Verify bool
 	// Recurse treats Args as directory trees to scan.
 	Recurse bool
 	// Workers is the batch pool size; 0 means GOMAXPROCS.
 	Workers int
-	// CacheDir enables the persistent corpus index (campaign runs only).
+	// CacheDir enables the persistent corpus index.
 	CacheDir string
 	// TracePath, when non-empty, writes the run's Chrome trace-event JSON
-	// there (campaign runs only).
+	// there.
 	TracePath string
-	// Profile prints the aggregate stage/rule profile to stderr (campaign
-	// runs only).
+	// Profile prints the aggregate stage/rule profile to stderr.
 	Profile bool
 	// Args are the positional file (or, with Recurse, directory) arguments.
 	Args []string
 }
 
-// Run executes one invocation and returns the process exit code.
+// Run sweeps the campaign over the input paths and returns the process exit
+// code.
 func Run(s Spec) int {
 	paths := s.Args
 	if s.Recurse {
@@ -64,39 +59,6 @@ func Run(s Spec) int {
 			return 1
 		}
 	}
-	if s.Campaign == nil {
-		if s.TracePath != "" || s.Profile {
-			fmt.Fprintf(os.Stderr, "%s: warning: --trace/--profile only apply to campaign runs; ignored with --legacy\n", s.Tool)
-		}
-		return runLegacy(s, paths)
-	}
-	return runCampaign(s, paths)
-}
-
-// runLegacy drives the per-tool v0 walker file by file.
-func runLegacy(s Spec, paths []string) int {
-	code := 0
-	for _, path := range paths {
-		b, err := os.ReadFile(path)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", s.Tool, err)
-			return 1
-		}
-		src := string(b)
-		out, err := s.Legacy(path, src)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", s.Tool, err)
-			return 1
-		}
-		if c := emit(s, path, src, out, ""); c != 0 {
-			code = c
-		}
-	}
-	return code
-}
-
-// runCampaign builds and sweeps the shipped campaign over paths.
-func runCampaign(s Spec, paths []string) int {
 	opts := sempatch.Options{Workers: s.Workers, CacheDir: s.CacheDir, Verify: s.Verify}
 	var tracer *sempatch.Tracer
 	if s.TracePath != "" || s.Profile {
@@ -128,9 +90,16 @@ func runCampaign(s Spec, paths []string) int {
 		if fr.Diff == "" {
 			return nil
 		}
-		if c := emit(s, fr.Name, "", fr.Output, fr.Diff); c != 0 {
-			code = c
+		if s.InPlace {
+			if err := cliutil.WriteInPlace(fr.Name, fr.Output); err != nil {
+				fmt.Fprintf(os.Stderr, "%s: %v\n", s.Tool, err)
+				code = 1
+				return nil
+			}
+			fmt.Fprintf(os.Stderr, "patched %s\n", fr.Name)
+			return nil
 		}
+		fmt.Print(fr.Diff)
 		return nil
 	})
 	parses = cparse.Parses() - parses
@@ -167,25 +136,4 @@ func runCampaign(s Spec, paths []string) int {
 		fmt.Fprintf(os.Stderr, "%s: trace written to %s\n", s.Tool, s.TracePath)
 	}
 	return code
-}
-
-// emit writes or prints one changed file. src may be "" when ready is the
-// precomputed unified diff; legacy callers pass src and let emit diff.
-func emit(s Spec, path, src, out, ready string) int {
-	if ready == "" && out == src {
-		return 0
-	}
-	if s.InPlace {
-		if err := cliutil.WriteInPlace(path, out); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", s.Tool, err)
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "patched %s\n", path)
-		return 0
-	}
-	if ready == "" {
-		ready = diff.Unified("a/"+path, "b/"+path, src, out)
-	}
-	fmt.Print(ready)
-	return 0
 }

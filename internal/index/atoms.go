@@ -143,6 +143,8 @@ func (x *extractor) pattern(p *smpl.Pattern) {
 		for _, d := range p.Decls {
 			x.decl(d)
 		}
+	case smpl.TypePattern:
+		x.typ(p.Type)
 	}
 }
 

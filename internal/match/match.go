@@ -7,6 +7,7 @@ package match
 
 import (
 	"strings"
+	"sync"
 
 	"repro/internal/cast"
 	"repro/internal/cfg"
@@ -101,6 +102,9 @@ type Cands struct {
 	exprs []cast.Expr
 	stmts []stmtContext
 	funcs []*cast.FuncDef
+	// types are enumerated on first use: only type patterns need them.
+	typesOnce sync.Once
+	types     []*cast.Type
 }
 
 // PrecomputeCands enumerates f's candidates for Matcher.Cands.
@@ -131,6 +135,26 @@ func (m *Matcher) funcCands() []*cast.FuncDef {
 		return m.Cands.funcs
 	}
 	return m.Code.Funcs()
+}
+
+// typeCands returns every type node of the file.
+func (m *Matcher) typeCands() []*cast.Type {
+	if m.Cands == nil {
+		return types(m.Code)
+	}
+	m.Cands.typesOnce.Do(func() { m.Cands.types = types(m.Code) })
+	return m.Cands.types
+}
+
+func types(f *cast.File) []*cast.Type {
+	var out []*cast.Type
+	cast.Walk(f, func(n cast.Node) bool {
+		if t, ok := n.(*cast.Type); ok && t != nil {
+			out = append(out, t)
+		}
+		return true
+	})
+	return out
 }
 
 // admits reports whether the window (if any) accepts the node's span.
@@ -383,6 +407,25 @@ func (m *Matcher) FindAll() []Match {
 		out = append(out, m.findDecls()...)
 		if m.MaxMatches > 0 && len(out) > m.MaxMatches {
 			out = out[:m.MaxMatches]
+		}
+	case smpl.TypePattern:
+		// Unlike typ, which compares pointer depth and qualifiers, a type
+		// pattern matches the base-name token of every type on the name.
+		name := m.Pat.Type.Base
+		pf, pl := m.Pat.Type.Span()
+		for _, t := range m.typeCands() {
+			if t.Base != name || !m.admits(t) {
+				continue
+			}
+			first, last := t.Span()
+			for i := first; i <= last; i++ {
+				if m.Code.Toks.IsIdent(i, name) {
+					if add(Match{Env: Env{}, Corr: []Pair{{PF: pf, PL: pl, CF: i, CL: i}}, First: i, Last: i}) {
+						return out
+					}
+					break
+				}
+			}
 		}
 	}
 	return dedupMatches(out)

@@ -474,8 +474,19 @@ var metaKindWords = []struct {
 	{"type", cast.MetaTypeKind},
 }
 
-// parseMetaDecl parses one metavariable declaration statement.
+// parseMetaDecl parses one metavariable declaration statement, or a
+// `typedef NAME[, NAME];` type-name declaration.
 func parseMetaDecl(file, st string, r *Rule) error {
+	if names, ok := strings.CutPrefix(st, "typedef "); ok {
+		for _, name := range splitDeclarators(names) {
+			name = strings.TrimSpace(name)
+			if !identRe.MatchString(name) {
+				return &SyntaxError{File: file, Msg: fmt.Sprintf("bad typedef name %q", name)}
+			}
+			r.Typedefs = append(r.Typedefs, name)
+		}
+		return nil
+	}
 	var kind cast.MetaKind
 	found := false
 	for _, kw := range metaKindWords {

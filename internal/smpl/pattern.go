@@ -1,6 +1,7 @@
 package smpl
 
 import (
+	"slices"
 	"strings"
 
 	"repro/internal/cast"
@@ -92,6 +93,14 @@ func CompileBody(file string, r *Rule) (*Pattern, error) {
 	onlyEOF := len(lf.Tokens) == 1
 	if onlyEOF {
 		return nil, &SyntaxError{File: file, Msg: "rule " + r.Name + " has an empty match pattern"}
+	}
+
+	// A lone declared type name is a type pattern.
+	if len(lf.Tokens) == 2 && lf.Tokens[0].Kind == ctoken.Ident && slices.Contains(r.Typedefs, lf.Text(0)) {
+		pat.Kind = TypePattern
+		pat.Type = &cast.Type{Base: lf.Text(0)}
+		pat.Type.SetSpan(0, 0)
+		return pat, nil
 	}
 
 	// Try: declaration-level, then statement-level, then expression. A

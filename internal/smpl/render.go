@@ -80,6 +80,9 @@ func renderRule(sb *strings.Builder, r *Rule) {
 			sb.WriteString(RenderMeta(m))
 			sb.WriteString("\n")
 		}
+		for _, name := range r.Typedefs {
+			sb.WriteString("typedef " + name + ";\n")
+		}
 	}
 	sb.WriteString("@@\n")
 

@@ -69,6 +69,10 @@ type Rule struct {
 	Lang    string // script language ("python", "go")
 	Depends *DepExpr
 	Metas   []*MetaDecl
+	// Typedefs are the names declared with `typedef NAME;`: type names,
+	// not metavariables. A body that is one of them alone is a type
+	// pattern.
+	Typedefs []string
 
 	// Check is the `// gocci:check` metadata header preceding the rule, nil
 	// for ordinary rules. A rule carrying one is match-only: it reports
@@ -210,6 +214,10 @@ const (
 	ExprPattern PatternKind = iota
 	StmtSeqPattern
 	DeclPattern
+	// TypePattern is a body that is a lone `typedef` name: it matches the
+	// base-name token of every type built on that name, whatever its
+	// pointer depth and qualifiers.
+	TypePattern
 )
 
 func (k PatternKind) String() string {
@@ -220,6 +228,8 @@ func (k PatternKind) String() string {
 		return "statements"
 	case DeclPattern:
 		return "declarations"
+	case TypePattern:
+		return "type"
 	}
 	return "?"
 }
@@ -230,6 +240,7 @@ type Pattern struct {
 	Expr  cast.Expr
 	Stmts []cast.Stmt
 	Decls []cast.Decl
+	Type  *cast.Type // TypePattern only
 	// Toks is the lexed minus-slice; pattern node spans index into it.
 	Toks *ctoken.File
 	// LineMarks maps 0-based body line index to its mark.

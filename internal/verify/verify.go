@@ -5,9 +5,9 @@
 // (arXiv:1607.02226), the checks target the failure modes of the paper's
 // HPC transformations specifically:
 //
-//   - capture avoidance: an identifier introduced into a function where a
-//     local declaration of the same name already existed now binds to the
-//     local, not the intended API symbol.
+//   - capture avoidance: an identifier or type name introduced into a
+//     function body where a local declaration of the same name already
+//     existed now binds to the local, not the intended API symbol.
 //   - def-use preservation: a declaration was rewritten away while uses of
 //     the declared name survive.
 //   - pragma round-trip: every OpenMP pragma that replaced an OpenACC one
@@ -36,7 +36,7 @@ import (
 // Version fingerprints the checker's logic. It is folded into result-cache
 // keys when verify mode is on, so cached verify decisions are invalidated
 // when the checks themselves change. Bump on any behavioral change here.
-const Version = "1"
+const Version = "2"
 
 // Warning is one finding about a transformed file.
 type Warning struct {
@@ -119,7 +119,7 @@ func CheckTrees(name, before, after string, fb *cast.File, opts Options) ([]Warn
 // fnInfo summarizes one function definition for the scope checks.
 type fnInfo struct {
 	locals map[string]bool // parameter and local-declaration names
-	counts map[string]int  // identifier occurrences in the definition
+	counts map[string]int  // identifier and type-name occurrences in the body
 }
 
 // functions indexes a file's function definitions by name. A redefinition
@@ -154,6 +154,10 @@ func functions(f *cast.File) map[string]*fnInfo {
 				}
 			case *cast.Ident:
 				info.counts[x.Name]++
+			case *cast.Type:
+				// A type base is a reference too: a renamed type can be
+				// captured by a local of the new name.
+				info.counts[x.Base]++
 			}
 			return true
 		})

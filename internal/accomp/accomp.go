@@ -10,6 +10,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -198,6 +199,11 @@ var clauseMap = map[string]string{
 	"auto":          "",
 }
 
+// deviceOnly lists the OpenMP clause forms that only apply to device
+// constructs: gcc rejects them on the host-mode `parallel for`, so Host
+// mode drops them with a warning.
+var deviceOnly = []string{"map(", "is_device_ptr(", "num_teams("}
+
 var (
 	fpOnce sync.Once
 	fp     string
@@ -227,6 +233,7 @@ func Fingerprint() string {
 		for _, name := range names {
 			fmt.Fprintf(h, "c:%s=%s\n", name, clauseMap[name])
 		}
+		fmt.Fprintf(h, "host-drops:%s\n", strings.Join(deviceOnly, " "))
 		fp = hex.EncodeToString(h.Sum(nil))[:12]
 	})
 	return fp
@@ -269,6 +276,10 @@ func Translate(body string, mode Mode) (string, []Warning, error) {
 			if c.Name != "seq" && c.Name != "independent" && c.Name != "auto" {
 				warns = append(warns, Warning{What: c.Name, Why: "no OpenMP equivalent; dropped"})
 			}
+			continue
+		}
+		if mode == Host && slices.ContainsFunc(deviceOnly, func(p string) bool { return strings.HasPrefix(tmpl, p) }) {
+			warns = append(warns, Warning{What: c.Name, Why: "device-only in OpenMP; dropped in host mode"})
 			continue
 		}
 		if tmpl == "simd" {

@@ -1,6 +1,7 @@
 package accomp
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -60,11 +61,13 @@ func TestParseNestedParens(t *testing.T) {
 func TestTranslateHost(t *testing.T) {
 	cases := map[string]string{
 		"parallel loop":                        "parallel for",
-		"parallel loop copy(a)":                "parallel for map(tofrom: a)",
-		"kernels copyin(x) copyout(y)":         "parallel map(to: x) map(from: y)",
+		"parallel loop copy(a)":                "parallel for",
+		"kernels copyin(x) copyout(y)":         "parallel",
 		"loop vector":                          "for simd",
 		"parallel loop reduction(+:s)":         "parallel for reduction(+:s)",
-		"parallel num_gangs(8)":                "parallel num_teams(8)",
+		"parallel num_gangs(8)":                "parallel",
+		"parallel loop deviceptr(p)":           "parallel for",
+		"parallel num_workers(4)":              "parallel num_threads(4)",
 		"parallel loop collapse(2) private(t)": "parallel for collapse(2) private(t)",
 		"atomic":                               "atomic",
 	}
@@ -108,6 +111,33 @@ func TestTranslateDropped(t *testing.T) {
 	}
 	if len(warns) == 0 {
 		t.Error("expected a warning")
+	}
+}
+
+// Host mode drops the clause forms only device constructs accept, one
+// warning each; offload mode keeps them.
+func TestTranslateHostDropsDeviceClauses(t *testing.T) {
+	body := "parallel loop copy(a) deviceptr(p) num_gangs(4) private(t)"
+	out, warns, err := Translate(body, Host)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out != "parallel for private(t)" {
+		t.Errorf("host: got %q", out)
+	}
+	var dropped []string
+	for _, w := range warns {
+		dropped = append(dropped, w.What)
+	}
+	if !slices.Equal(dropped, []string{"copy", "deviceptr", "num_gangs"}) {
+		t.Errorf("host warnings: %+v", warns)
+	}
+	out, warns, err = Translate(body, Offload)
+	if err != nil || len(warns) != 0 {
+		t.Fatalf("offload: %v %+v", err, warns)
+	}
+	if want := "target teams distribute parallel for map(tofrom: a) is_device_ptr(p) num_teams(4) private(t)"; out != want {
+		t.Errorf("offload: got %q want %q", out, want)
 	}
 }
 

@@ -39,6 +39,7 @@ func FuzzSmPLParse(f *testing.F) {
 	f.Add("@script:python p@\nx << r.i;\ny;\n@@\ny = x + \"_v2\"\n")
 	f.Add("// gocci:check id=chk severity=error msg=\"bad call of e\"\n@c@\nexpression e;\nposition p;\n@@\n* risky(e)\n")
 	f.Add("@s@\nexpression x;\n@@\n* x = malloc(1);\n... when != free(x)\nwhen exists\n* return ...;\n")
+	f.Add("@t@\ntypedef cudaStream_t, cudaEvent_t;\n@@\n- cudaStream_t\n+ hipStream_t\n")
 	f.Fuzz(func(t *testing.T, src string) {
 		p, err := smpl.ParsePatch("fuzz.cocci", src)
 		if err != nil {

@@ -101,9 +101,10 @@ func compareResults(t *testing.T, label string, got, want []CampaignFileResult) 
 
 // TestFunctionCacheParity is the pipeline's headline guarantee: with the
 // function cache cold, warm, or disabled — and under either dots engine, the
-// CFG engine or the sequence fallback a pattern's shape selects — outputs, diffs, and match counts are byte-identical. The corpus mixes
-// multi-function files (matching and not), files without functions, an empty
-// file, and a misaligned file the pipeline must refuse.
+// CFG engine or the sequence fallback a pattern's shape selects, and for a
+// type pattern — outputs, diffs, and match counts are byte-identical. The
+// corpus mixes multi-function files (matching and not), files without
+// functions, an empty file, and a misaligned file the pipeline must refuse.
 func TestFunctionCacheParity(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -120,6 +121,9 @@ func TestFunctionCacheParity(t *testing.T) {
 		{"dots-seq", fnDisjDotsPatch, core.Options{},
 			"\tprepare(x);\n\twork(x, %d);\n\tstage(x);\n\tcommit(x);\n",
 			"\twork(x, %d);\n\tcommit(x);\n"},
+		// Segments share the file's lazily enumerated type candidates.
+		{"typedef", "@r@\ntypedef old_t;\n@@\n- old_t\n+ new_t\n", core.Options{},
+			"\told_t *v = lookup(x, %d);\n", "\tint v = lookup(x, %d);\n"},
 	}
 	if match.CFGEligible(parsePatch(t, fnDisjDotsPatch).Rules[0].Pattern, nil) {
 		t.Fatal("dots-seq must exercise the sequence-matcher fallback")

@@ -36,7 +36,7 @@ import (
 // cache keys on it, so outcomes cached by an engine that printed something
 // else miss and are recomputed. Bump it with every change that alters an
 // output; TestOutputDigestTripwire fails until it is bumped.
-const OutputVersion = "1"
+const OutputVersion = "2"
 
 // Options configures an engine run.
 type Options struct {
@@ -724,6 +724,8 @@ func envKey(env match.Env) string {
 // identifier characters naming a bound metavariable, so names inside longer
 // identifiers are left alone and qualified (inherited "rule.name") bindings
 // never match. Text with no reference is returned as is, without allocating.
+// An empty expression list takes one adjacent comma with it, as in
+// Coccinelle: f(a, el) prints f(a) when el bound no argument.
 func substitute(text string, env match.Env) string {
 	var sb strings.Builder
 	done := 0 // text[:done] is already in sb
@@ -737,7 +739,15 @@ func substitute(text string, env match.Env) string {
 			j++
 		}
 		if b, ok := env[text[i:j]]; ok {
-			sb.WriteString(text[done:i])
+			lit := text[done:i]
+			if b.Kind == cast.MetaExprListKind && b.Text == "" {
+				if t := strings.TrimRight(lit, " \t"); strings.HasSuffix(t, ",") {
+					lit = t[:len(t)-1]
+				} else if rest := strings.TrimLeft(text[j:], " \t"); strings.HasPrefix(rest, ",") {
+					j = len(text) - len(strings.TrimLeft(rest[1:], " \t"))
+				}
+			}
+			sb.WriteString(lit)
 			sb.WriteString(b.Text)
 			done = j
 		}

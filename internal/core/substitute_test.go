@@ -122,3 +122,20 @@ func TestSubstituteNoReferenceAllocatesNothing(t *testing.T) {
 		t.Errorf("substitute allocates %.0f times on text with no reference; want 0", n)
 	}
 }
+
+// An empty expression list drops one adjacent comma, before or after it.
+func TestSubstituteEmptyListTakesComma(t *testing.T) {
+	env := match.Env{
+		"el": match.NewValueBinding(cast.MetaExprListKind, ""),
+		"k":  match.NewValueBinding(cast.MetaIdentKind, "saxpy"),
+	}
+	for text, want := range map[string]string{
+		"hipLaunchKernelGGL(k, b, t, 0, 0, el)": "hipLaunchKernelGGL(saxpy, b, t, 0, 0)",
+		"f(el, k)":                              "f(saxpy)",
+		"f(el)":                                 "f()",
+	} {
+		if got := substitute(text, env); got != want {
+			t.Errorf("substitute(%q) = %q, want %q", text, got, want)
+		}
+	}
+}

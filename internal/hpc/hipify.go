@@ -99,7 +99,7 @@ func hipifyCampaign() *Campaign {
 	return &Campaign{
 		Name:      "hipify",
 		Title:     "CUDA API usage and kernel launches to HIP",
-		Version:   "1",
+		Version:   "2",
 		CPlusPlus: true,
 		CUDA:      true,
 		members: []member{

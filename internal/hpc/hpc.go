@@ -3,11 +3,11 @@
 // semantic-patch campaigns runnable through the engine's batch runner. Where
 // internal/patchlib embeds the paper's listings as single-file experiments,
 // this package ships the same transformations as production campaigns — the
-// SmPL text is generated from the live dictionaries (internal/hipify) or
-// wired to the live translator (internal/accomp) through versioned script
-// hooks, so the campaign CLIs inherit the prefilter, worker pool,
-// per-function cache, and persistent result cache for free, and stay
-// byte-identical to the v0 bespoke walkers on the supported code shapes.
+// SmPL text is generated from the CUDA→HIP dictionaries (dict.go) or wired
+// to the live translator (internal/accomp) through versioned script hooks,
+// so the campaign CLIs inherit the prefilter, worker pool, per-function
+// cache, and persistent result cache for free. testdata holds each
+// campaign's expected outputs.
 //
 // A campaign's generated patch text embeds the dictionary entries it was
 // generated from, so the persistent result cache self-invalidates when a

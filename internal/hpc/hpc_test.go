@@ -153,11 +153,12 @@ func TestHipifyLeavesCollisionsAlone(t *testing.T) {
 
 // TestHipifyLaunchPadsDefaults: HIP requires all four launch parameters, so
 // the shorter triple-chevron forms get 0 for the missing shared-memory size
-// and stream.
+// and stream; a launch without kernel arguments leaves no trailing comma.
 func TestHipifyLaunchPadsDefaults(t *testing.T) {
 	c, _ := ByName("hipify")
-	src := "void f(void){ k<<<g, b>>>(x); k<<<g, b, m>>>(x, y); k<<<g, b, m, s>>>(x); }"
-	want := "void f(void){ hipLaunchKernelGGL(k, g, b, 0, 0, x); hipLaunchKernelGGL(k, g, b, m, 0, x, y); hipLaunchKernelGGL(k, g, b, m, s, x); }"
+	src := "void f(void){ k<<<g, b>>>(x); k<<<g, b, m>>>(x, y); k<<<g, b, m, s>>>(x); k<<<g, b>>>(); }"
+	want := "void f(void){ hipLaunchKernelGGL(k, g, b, 0, 0, x); hipLaunchKernelGGL(k, g, b, m, 0, x, y); " +
+		"hipLaunchKernelGGL(k, g, b, m, s, x); hipLaunchKernelGGL(k, g, b, 0, 0); }"
 	if out, _ := applyOne(t, c, sempatch.Options{}, "t.cu", src); out != want {
 		t.Errorf("got  %s\nwant %s", out, want)
 	}

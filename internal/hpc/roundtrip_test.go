@@ -6,6 +6,8 @@ package hpc
 // the original.
 
 import (
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -42,7 +44,13 @@ func TestCampaignPatchesRenderRoundTrip(t *testing.T) {
 			var name, src string
 			switch c.Name {
 			case "hipify":
-				name, src = "rt.cu", codegen.CUDA(codegen.Config{Funcs: 3, StmtsPerFunc: 2, Seed: 20250326})
+				// Every type position and launch form of the typedef and
+				// launch-disjunction members.
+				b, err := os.ReadFile(filepath.Join("testdata", "hipify", "types.cu"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				name, src = "rt.cu", string(b)
 			case "hpc-checks":
 				origF := checkFindings(t, c, "rt.cu", checkSrc)
 				renF := checkFindings(t, &rendered, "rt.cu", checkSrc)

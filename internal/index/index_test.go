@@ -127,6 +127,15 @@ func TestAtomsSimpleRename(t *testing.T) {
 	}
 }
 
+// A type pattern compares the declared typedef name, so the name is the
+// rule's required atom.
+func TestAtomsTypedef(t *testing.T) {
+	atoms := ruleAtoms(t, "@r@\ntypedef cudaStream_t;\n@@\n- cudaStream_t\n+ hipStream_t\n")
+	if !hasAtom(atoms, "cudaStream_t") || hasAtom(atoms, "hipStream_t") {
+		t.Errorf("atoms = %v, want cudaStream_t only", atoms)
+	}
+}
+
 func TestAtomsExcludeMetavariablesAndKeywords(t *testing.T) {
 	atoms := ruleAtoms(t, `@r@
 expression E;

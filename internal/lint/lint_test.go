@@ -106,6 +106,15 @@ expression a.E;
 	}
 }
 
+// A typedef rule declares a type name, not a metavariable, and its name is
+// the rule's prefilter atom: vet has nothing to say about it.
+func TestTypedefRuleClean(t *testing.T) {
+	p := parse(t, "@@\ntypedef cudaStream_t;\n@@\n- cudaStream_t\n+ hipStream_t\n")
+	if issues := Check(p); len(issues) != 0 {
+		t.Errorf("typedef rule reported %v", issues)
+	}
+}
+
 func TestUnreachableRule(t *testing.T) {
 	p := parse(t, `@a depends on nosuchrule@
 expression E;

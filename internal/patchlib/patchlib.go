@@ -2,7 +2,7 @@
 // (Section 3, "Enabled HPC Refactorings") as executable experiments. Each
 // experiment couples the semantic patch text with a representative input
 // workload and a checker for the transformation's expected shape; the
-// benchmark harness and EXPERIMENTS.md regenerate from this index.
+// benchmark harness regenerates from this index.
 package patchlib
 
 import (

@@ -205,6 +205,8 @@ func TestPatternKinds(t *testing.T) {
 		{"- f(x);", "identifier f;\nexpression x;", StmtSeqPattern},
 		{"T f(PL) { SL }", "type T;\nidentifier f;\nparameter list PL;\nstatement list SL;", DeclPattern},
 		{"#include <omp.h>", "", DeclPattern},
+		{"- cudaStream_t\n+ hipStream_t", "typedef cudaStream_t;", TypePattern},
+		{"- cudaStream_t x;", "typedef cudaStream_t;", DeclPattern},
 	}
 	for _, c := range cases {
 		text := "@r@\n" + c.meta + "\n@@\n" + c.body + "\n"
@@ -293,6 +295,7 @@ func TestBadPatchErrors(t *testing.T) {
 		"@r@\nbogus kind x;\n@@\nf();\n",
 		"@r@\n@@\n",
 		"@r@ extra stuff\n@@\nf();\n",
+		"@r@\ntypedef 1x;\n@@\n- a\n",
 	}
 	for _, c := range cases {
 		if _, err := ParsePatch("bad.cocci", c); err == nil {

@@ -165,6 +165,26 @@ func TestBuildPatch(t *testing.T) {
 	fixpoint(t, "built.cocci", p.Src)
 }
 
+// typedef declarations render after the metavariables and survive the
+// parse→print→parse fixpoint.
+func TestRenderFixpointTypedef(t *testing.T) {
+	p, err := ParsePatch("t.cocci", "@r@\ntypedef cudaStream_t, cudaEvent_t;\nexpression e;\n@@\n- cudaStream_t\n+ hipStream_t\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := Render(p)
+	if want := "@r@\nexpression e;\ntypedef cudaStream_t;\ntypedef cudaEvent_t;\n@@\n- cudaStream_t\n+ hipStream_t\n"; text != want {
+		t.Errorf("rendered:\n%s\nwant:\n%s", text, want)
+	}
+	p2, err := ParsePatch("t.cocci", text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if Render(p2) != text || p2.Rules[0].Pattern.Kind != TypePattern {
+		t.Errorf("typedef rule does not round-trip:\n%s", Render(p2))
+	}
+}
+
 func TestRenderMetaKinds(t *testing.T) {
 	// Every kind keyword the parser accepts renders back to itself.
 	for _, m := range []struct {

@@ -13,9 +13,6 @@ package sempatch
 // how the engine scales, which these benchmarks quantify.
 
 import (
-	"fmt"
-	"path/filepath"
-	"runtime"
 	"testing"
 
 	"repro/internal/codegen"
@@ -66,165 +63,6 @@ func BenchmarkPatchParse(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// Batch application: one patch across a many-file corpus, the paper's
-// whole-codebase scenario (e.g. acc2omp over a full OpenACC application).
-// workers=1 is the sequential baseline the parallel speedup is measured
-// against; the corpus is large enough that the pool's compile-once +
-// per-worker-engine costs amortise.
-func BenchmarkBatchApply(b *testing.B) {
-	e, ok := patchlib.ByID("L1")
-	if !ok {
-		b.Fatal("experiment L1 missing")
-	}
-	p, err := ParsePatch("batch.cocci", e.Patch)
-	if err != nil {
-		b.Fatal(err)
-	}
-	const nfiles = 48
-	files := make([]File, nfiles)
-	var total int64
-	for i := range files {
-		src := codegen.OpenMP(codegen.Config{Funcs: 8 + i%5, StmtsPerFunc: 3, Seed: int64(i + 1)})
-		files[i] = File{Name: fmt.Sprintf("src%02d.c", i), Src: src}
-		total += int64(len(src))
-	}
-	counts := []int{1, 4, runtime.NumCPU()}
-	seen := map[int]bool{}
-	for _, w := range counts {
-		if seen[w] {
-			continue
-		}
-		seen[w] = true
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			ba := NewBatchApplier(p, Options{Workers: w})
-			b.SetBytes(total)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				st, err := ba.ApplyAllFunc(files, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if st.Changed != nfiles || st.Errors != 0 {
-					b.Fatalf("stats = %+v, want %d files changed", st, nfiles)
-				}
-			}
-		})
-	}
-}
-
-// Warm-cache effect: the same batch over an unchanged 90%-non-matching
-// corpus with the persistent corpus index cold (first-ever run: scan,
-// parse, match, and populate the cache) versus warm (every result replays
-// from the cache by content hash — no scanning, parsing, or matching).
-// Warm runs should beat cold by well over the acceptance floor of 5x; the
-// parity of outputs across cold/warm/disabled is pinned by TestCacheParity.
-func BenchmarkWarmCache(b *testing.B) {
-	patch := `@r@
-expression list el;
-@@
-- legacy_halo_exchange(el)
-+ halo_exchange_v2(el)
-`
-	p, err := ParsePatch("cache.cocci", patch)
-	if err != nil {
-		b.Fatal(err)
-	}
-	const nfiles = 100
-	files := make([]File, nfiles)
-	var total int64
-	for i := range files {
-		src := codegen.Mixed(codegen.Config{Funcs: 6 + i%4, StmtsPerFunc: 3, Seed: int64(i + 1)})
-		if i%10 == 0 { // ~10% of the corpus actually calls the legacy API
-			src += "\nvoid migrate_me(int n)\n{\n\tlegacy_halo_exchange(n, 0);\n}\n"
-		}
-		files[i] = File{Name: fmt.Sprintf("src%03d.c", i), Src: src}
-		total += int64(len(src))
-	}
-
-	b.Run("cold", func(b *testing.B) {
-		// Every iteration starts from an empty cache: the measured cost is
-		// scan + parse + match + cache population.
-		dirs := make([]string, b.N)
-		for i := range dirs {
-			dirs[i] = filepath.Join(b.TempDir(), fmt.Sprintf("c%d", i))
-		}
-		b.SetBytes(total)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			st, err := NewBatchApplier(p, Options{Workers: 1, CacheDir: dirs[i]}).ApplyAllFunc(files, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if st.Cached != 0 {
-				b.Fatalf("cold run cached %d", st.Cached)
-			}
-		}
-	})
-	b.Run("warm", func(b *testing.B) {
-		dir := filepath.Join(b.TempDir(), "cache")
-		if _, err := NewBatchApplier(p, Options{Workers: 1, CacheDir: dir}).ApplyAllFunc(files, nil); err != nil {
-			b.Fatal(err)
-		}
-		b.SetBytes(total)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			st, err := NewBatchApplier(p, Options{Workers: 1, CacheDir: dir}).ApplyAllFunc(files, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if st.Cached != nfiles {
-				b.Fatalf("warm run cached %d of %d", st.Cached, nfiles)
-			}
-		}
-	})
-}
-
-// Campaign effect: N patches over one corpus, applied as N separate batch
-// runs (each parses every candidate file) versus one campaign sweep (each
-// file parsed at most once, the tree shared by all patches). The probes are
-// context-only so every file is a candidate for every patch — the
-// parse-dominated worst case the campaign exists for.
-func BenchmarkCampaign(b *testing.B) {
-	const npatches = 4
-	patches := make([]*Patch, npatches)
-	for i := range patches {
-		text := fmt.Sprintf("@probe%d@\ntype T;\nidentifier f;\nparameter list PL;\nstatement list SL;\n@@\nT f (PL) { SL }\n", i)
-		p, err := ParsePatch(fmt.Sprintf("p%d.cocci", i), text)
-		if err != nil {
-			b.Fatal(err)
-		}
-		patches[i] = p
-	}
-	const nfiles = 32
-	files := make([]File, nfiles)
-	var total int64
-	for i := range files {
-		src := codegen.Mixed(codegen.Config{Funcs: 8, StmtsPerFunc: 3, Seed: int64(i + 1)})
-		files[i] = File{Name: fmt.Sprintf("src%02d.c", i), Src: src}
-		total += int64(len(src))
-	}
-
-	b.Run("sequential-runs", func(b *testing.B) {
-		b.SetBytes(total * npatches)
-		for i := 0; i < b.N; i++ {
-			for _, p := range patches {
-				if _, err := NewBatchApplier(p, Options{Workers: 1}).ApplyAllFunc(files, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-	b.Run("campaign", func(b *testing.B) {
-		b.SetBytes(total * npatches)
-		for i := 0; i < b.N; i++ {
-			ca := NewCampaign(patches, Options{Workers: 1})
-			if _, err := ca.ApplyAllFunc(files, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // Match-only cost (no transformation): a pure-context rule.

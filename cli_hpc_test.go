@@ -1,9 +1,10 @@
 package sempatch
 
-// End-to-end tests for the HPC campaign CLIs (gocci-hipify, gocci-acc2omp)
-// and gocci --list-campaigns: the tools must write the expected outputs in
-// internal/hpc/testdata byte for byte, warm cache runs must report zero
-// parses, and --verify must demote unsafe edits with visible warnings.
+// End-to-end tests for gocci --campaign, its gocci-hipify alias, and gocci
+// --list-campaigns: campaign runs must write the expected outputs in
+// internal/hpc/testdata byte for byte, with explicit files and with -r,
+// warm cache runs must report zero parses, and --verify must demote unsafe
+// edits with visible warnings.
 
 import (
 	"os"
@@ -52,15 +53,15 @@ func TestCLIHipifyCampaignParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	bin := buildTool(t, "gocci-hipify")
+	bin := buildTool(t, "gocci")
 	src, want := hpcFixture(t, "hipify/cli.cu", ".golden")
 	file := filepath.Join(t.TempDir(), "app.cu")
 	if err := os.WriteFile(file, []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	diff, err := exec.Command(bin, file).Output()
+	diff, err := exec.Command(bin, "--campaign", "hipify", file).Output()
 	if err != nil {
-		t.Fatalf("gocci-hipify: %v", err)
+		t.Fatalf("gocci --campaign hipify: %v", err)
 	}
 	if !strings.Contains(string(diff), "+\thipError_t err = hipMalloc") {
 		t.Fatalf("diff lacks the translation:\n%s", diff)
@@ -70,8 +71,8 @@ func TestCLIHipifyCampaignParity(t *testing.T) {
 	if err := os.Chmod(file, 0o640); err != nil {
 		t.Fatal(err)
 	}
-	if out, err := exec.Command(bin, "--in-place", file).CombinedOutput(); err != nil {
-		t.Fatalf("gocci-hipify --in-place: %v\n%s", err, out)
+	if out, err := exec.Command(bin, "--campaign", "hipify", "--in-place", file).CombinedOutput(); err != nil {
+		t.Fatalf("gocci --campaign hipify --in-place: %v\n%s", err, out)
 	}
 	b, err := os.ReadFile(file)
 	if err != nil {
@@ -85,30 +86,41 @@ func TestCLIHipifyCampaignParity(t *testing.T) {
 	}
 }
 
+// TestCLIAcc2ompCampaignParity runs both acc2omp campaigns through gocci,
+// once on an explicit file and once with -r over its directory: each run
+// must exit 0 and leave the file equal to the mode's expected output, so
+// the campaign's script hook is registered on both paths.
 func TestCLIAcc2ompCampaignParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	bin := buildTool(t, "gocci-acc2omp")
+	bin := buildTool(t, "gocci")
 	for _, mode := range []string{"host", "offload"} {
-		src, want := hpcFixture(t, "acc2omp/cli.c", "."+mode+".golden")
-		file := filepath.Join(t.TempDir(), "saxpy.c")
-		if err := os.WriteFile(file, []byte(src), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		args := []string{"--in-place", file}
+		campaign := "acc2omp"
 		if mode == "offload" {
-			args = append([]string{"--offload"}, args...)
+			campaign = "acc2omp-offload"
 		}
-		if out, err := exec.Command(bin, args...).CombinedOutput(); err != nil {
-			t.Fatalf("gocci-acc2omp %v: %v\n%s", args, err, out)
-		}
-		b, err := os.ReadFile(file)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(b) != want {
-			t.Errorf("%s: result differs from the expected output:\n%s", mode, b)
+		src, want := hpcFixture(t, "acc2omp/cli.c", "."+mode+".golden")
+		for _, recurse := range []bool{false, true} {
+			dir := t.TempDir()
+			file := filepath.Join(dir, "saxpy.c")
+			if err := os.WriteFile(file, []byte(src), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			args := []string{"--campaign", campaign, "--in-place", file}
+			if recurse {
+				args = []string{"--campaign", campaign, "--in-place", "-r", dir}
+			}
+			if out, err := exec.Command(bin, args...).CombinedOutput(); err != nil {
+				t.Fatalf("gocci %v: %v\n%s", args, err, out)
+			}
+			b, err := os.ReadFile(file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(b) != want {
+				t.Errorf("gocci %v: result differs from the expected output:\n%s", args, b)
+			}
 		}
 	}
 }
@@ -119,7 +131,7 @@ func TestCLIHipifyWarmCacheStats(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	bin := buildTool(t, "gocci-hipify")
+	bin := buildTool(t, "gocci")
 	src, _ := hpcFixture(t, "hipify/cli.cu", ".golden")
 	tree := t.TempDir()
 	for _, name := range []string{"a.cu", "b.cu"} {
@@ -129,10 +141,10 @@ func TestCLIHipifyWarmCacheStats(t *testing.T) {
 	}
 	cacheDir := filepath.Join(t.TempDir(), "cache")
 	run := func() string {
-		cmd := exec.Command(bin, "-r", "--stats", "--cache-dir", cacheDir, tree)
+		cmd := exec.Command(bin, "--campaign", "hipify", "-r", "--stats", "--cache-dir", cacheDir, tree)
 		out, err := cmd.CombinedOutput()
 		if err != nil {
-			t.Fatalf("gocci-hipify -r: %v\n%s", err, out)
+			t.Fatalf("gocci --campaign hipify -r: %v\n%s", err, out)
 		}
 		return string(out)
 	}
@@ -156,15 +168,15 @@ func TestCLIHipifyVerifyDemotes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	bin := buildTool(t, "gocci-hipify")
+	bin := buildTool(t, "gocci")
 	src := "int f(int n) {\n\tint hipMalloc = 0;\n\tcudaMalloc(&hipMalloc, n);\n\treturn hipMalloc;\n}\n"
 	file := filepath.Join(t.TempDir(), "seed.cu")
 	if err := os.WriteFile(file, []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	out, err := exec.Command(bin, "--verify", "--in-place", "--stats", file).CombinedOutput()
+	out, err := exec.Command(bin, "--campaign", "hipify", "--verify", "--in-place", "--stats", file).CombinedOutput()
 	if err != nil {
-		t.Fatalf("gocci-hipify --verify: %v\n%s", err, out)
+		t.Fatalf("gocci --campaign hipify --verify: %v\n%s", err, out)
 	}
 	s := string(out)
 	if !strings.Contains(s, "[capture]") || !strings.Contains(s, "demoted") {
@@ -176,5 +188,26 @@ func TestCLIHipifyVerifyDemotes(t *testing.T) {
 	}
 	if string(b) != src {
 		t.Errorf("unsafe edit was written anyway:\n%s", b)
+	}
+}
+
+// TestCLIHipifyAlias pins gocci-hipify as a pure argument-prefix alias: its
+// diffs over the hipify corpus are byte-identical to gocci --campaign
+// hipify's.
+func TestCLIHipifyAlias(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	dir := filepath.Join("internal", "hpc", "testdata", "hipify")
+	alias, err := exec.Command(buildTool(t, "gocci-hipify"), "-r", "--verify", dir).Output()
+	if err != nil {
+		t.Fatalf("gocci-hipify: %v", err)
+	}
+	direct, err := exec.Command(buildTool(t, "gocci"), "--campaign", "hipify", "-r", "--verify", dir).Output()
+	if err != nil {
+		t.Fatalf("gocci --campaign hipify: %v", err)
+	}
+	if len(direct) == 0 || string(alias) != string(direct) {
+		t.Errorf("alias stdout (%d bytes) differs from gocci --campaign hipify (%d bytes)", len(alias), len(direct))
 	}
 }

@@ -553,10 +553,10 @@ func TestCLIGocciGenAndParse(t *testing.T) {
 		t.Errorf("stats output: %s", stats)
 	}
 
-	hip := buildTool(t, "gocci-hipify")
-	diffOut, err := exec.Command(hip, cu).Output()
+	gocci := buildTool(t, "gocci")
+	diffOut, err := exec.Command(gocci, "--campaign", "hipify", cu).Output()
 	if err != nil {
-		t.Fatalf("gocci-hipify: %v", err)
+		t.Fatalf("gocci --campaign hipify: %v", err)
 	}
 	if !strings.Contains(string(diffOut), "+\thipError_t err = hipMalloc") &&
 		!strings.Contains(string(diffOut), "hipMalloc") {
@@ -824,14 +824,14 @@ func TestCLIVet(t *testing.T) {
 	}
 }
 
-// TestCLIVersionFlag pins the shared --version convention across all six
+// TestCLIVersionFlag pins the shared --version convention across the
 // tools: exit 0, "tool version" on stdout, and -h usage output leading
 // with the same version line.
 func TestCLIVersionFlag(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	for _, tool := range []string{"gocci", "gocci-parse", "gocci-gen", "gocci-hipify", "gocci-acc2omp", "gocci-serve"} {
+	for _, tool := range []string{"gocci", "gocci-parse", "gocci-gen", "gocci-hipify", "gocci-serve"} {
 		bin := buildTool(t, tool)
 		out, err := exec.Command(bin, "--version").Output()
 		if err != nil {

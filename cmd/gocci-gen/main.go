@@ -19,7 +19,7 @@ import (
 )
 
 func main() {
-	showVersion := buildinfo.Setup("gocci-gen")
+	showVersion := buildinfo.Setup(flag.CommandLine, "gocci-gen")
 	shape := flag.String("shape", "mixed", "workload shape (see --list)")
 	funcs := flag.Int("funcs", 8, "number of functions")
 	stmts := flag.Int("stmts", 4, "statements per function")

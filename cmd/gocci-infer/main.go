@@ -36,7 +36,7 @@ import (
 )
 
 func main() {
-	showVersion := buildinfo.Setup("gocci-infer")
+	showVersion := buildinfo.Setup(flag.CommandLine, "gocci-infer")
 	out := flag.String("o", "", "write the inferred .cocci here (default stdout)")
 	rule := flag.String("rule", "", `name of the emitted rule (default "inferred")`)
 	gitRepo := flag.String("git", "", "mine before/after pairs from this git repository")

@@ -21,7 +21,7 @@ import (
 )
 
 func main() {
-	showVersion := buildinfo.Setup("gocci-parse")
+	showVersion := buildinfo.Setup(flag.CommandLine, "gocci-parse")
 	dump := flag.String("dump", "ast", "what to print: ast, cfg, tokens, stats")
 	cxx := flag.Int("cxx", 0, "C++ standard (0 = C)")
 	cuda := flag.Bool("cuda", false, "enable CUDA kernel-launch tokens")

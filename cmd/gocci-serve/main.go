@@ -44,7 +44,7 @@ import (
 )
 
 func main() {
-	showVersion := buildinfo.Setup("gocci-serve")
+	showVersion := buildinfo.Setup(flag.CommandLine, "gocci-serve")
 	addr := flag.String("addr", "127.0.0.1:8077", "listen address")
 	root := flag.String("root", "", "corpus directory the session serves (required)")
 	session := flag.String("session", "default", "session id in URLs")

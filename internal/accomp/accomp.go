@@ -204,6 +204,16 @@ var clauseMap = map[string]string{
 // mode drops them with a warning.
 var deviceOnly = []string{"map(", "is_device_ptr(", "num_teams("}
 
+// simdOnly lists the clause forms valid only on a `... simd` construct:
+// without a `vector` clause the construct is not simd, so they are
+// dropped with a warning.
+var simdOnly = []string{"simdlen("}
+
+// hostParallelDrops lists the clauses gcc rejects on the host-mode
+// `parallel` and `parallel for` heads; Host mode drops them there with a
+// warning (worksharing `for nowait` stays valid).
+var hostParallelDrops = []string{"nowait"}
+
 var (
 	fpOnce sync.Once
 	fp     string
@@ -234,6 +244,8 @@ func Fingerprint() string {
 			fmt.Fprintf(h, "c:%s=%s\n", name, clauseMap[name])
 		}
 		fmt.Fprintf(h, "host-drops:%s\n", strings.Join(deviceOnly, " "))
+		fmt.Fprintf(h, "simd-only:%s\n", strings.Join(simdOnly, " "))
+		fmt.Fprintf(h, "host-parallel-drops:%s\n", strings.Join(hostParallelDrops, " "))
 		fp = hex.EncodeToString(h.Sum(nil))[:12]
 	})
 	return fp
@@ -265,7 +277,10 @@ func Translate(body string, mode Mode) (string, []Warning, error) {
 		return "", warns, nil
 	}
 	parts := []string{head}
-	simd := false
+	simd := slices.ContainsFunc(d.Clauses, func(c Clause) bool { return clauseMap[c.Name] == "simd" })
+	hasPrefix := func(prefixes []string, tmpl string) bool {
+		return slices.ContainsFunc(prefixes, func(p string) bool { return strings.HasPrefix(tmpl, p) })
+	}
 	for _, c := range d.Clauses {
 		tmpl, ok := clauseMap[c.Name]
 		if !ok {
@@ -278,12 +293,19 @@ func Translate(body string, mode Mode) (string, []Warning, error) {
 			}
 			continue
 		}
-		if mode == Host && slices.ContainsFunc(deviceOnly, func(p string) bool { return strings.HasPrefix(tmpl, p) }) {
+		if mode == Host && hasPrefix(deviceOnly, tmpl) {
 			warns = append(warns, Warning{What: c.Name, Why: "device-only in OpenMP; dropped in host mode"})
 			continue
 		}
+		if !simd && hasPrefix(simdOnly, tmpl) {
+			warns = append(warns, Warning{What: c.Name, Why: "valid only on a simd construct (no vector clause); dropped"})
+			continue
+		}
+		if mode == Host && strings.HasPrefix(head, "parallel") && hasPrefix(hostParallelDrops, tmpl) {
+			warns = append(warns, Warning{What: c.Name, Why: "not allowed on a host parallel construct; dropped"})
+			continue
+		}
 		if tmpl == "simd" {
-			simd = true
 			continue
 		}
 		if strings.Contains(tmpl, "%s") {

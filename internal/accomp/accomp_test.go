@@ -141,6 +141,41 @@ func TestTranslateHostDropsDeviceClauses(t *testing.T) {
 	}
 }
 
+// Clauses gcc rejects are dropped with a warning each: simdlen needs a
+// simd construct (a vector clause), and host parallel heads take no nowait
+// (worksharing `for nowait` keeps it).
+func TestTranslateDropsInvalidClauses(t *testing.T) {
+	cases := []struct {
+		body    string
+		mode    Mode
+		want    string
+		dropped []string
+	}{
+		{"parallel loop async vector_length(8)", Host, "parallel for", []string{"async", "vector_length"}},
+		{"parallel loop async vector_length(8)", Offload, "target teams distribute parallel for nowait", []string{"vector_length"}},
+		{"parallel loop vector vector_length(8)", Host, "parallel for simd simdlen(8)", nil},
+		{"parallel loop vector_length(8) vector", Offload, "target teams distribute parallel for simd simdlen(8)", nil},
+		{"kernels async", Host, "parallel", []string{"async"}},
+		{"kernels async", Offload, "target teams nowait", nil},
+		{"loop vector_length(4)", Host, "for", []string{"vector_length"}},
+		{"serial loop async", Host, "for nowait", nil},
+	}
+	for _, c := range cases {
+		got, warns, err := Translate(c.body, c.mode)
+		if err != nil {
+			t.Errorf("%q: %v", c.body, err)
+			continue
+		}
+		var dropped []string
+		for _, w := range warns {
+			dropped = append(dropped, w.What)
+		}
+		if got != c.want || !slices.Equal(dropped, c.dropped) {
+			t.Errorf("%q (mode %d): got %q dropping %v, want %q dropping %v", c.body, c.mode, got, dropped, c.want, c.dropped)
+		}
+	}
+}
+
 func TestTranslateUnknownDirective(t *testing.T) {
 	if _, _, err := Translate("notadirective", Host); err == nil {
 		t.Error("expected error")

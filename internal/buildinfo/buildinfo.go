@@ -44,16 +44,20 @@ func Version() string {
 	return rev
 }
 
-// Setup wires the shared version conventions into a tool's default flag
-// set: it registers --version, and wraps flag.Usage so -h/usage output
-// leads with "tool version". Call before flag.Parse, then pass the
-// returned pointer to HandleVersion after it.
-func Setup(tool string) *bool {
-	show := flag.Bool("version", false, "print version and exit")
-	prev := flag.Usage
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "%s %s\n", tool, Version())
-		prev()
+// Setup wires the shared version conventions into a tool's flag set: it
+// registers --version, and wraps the set's usage so -h output leads with
+// "tool version". Call before parsing, then pass the returned pointer to
+// HandleVersion after it.
+func Setup(fs *flag.FlagSet, tool string) *bool {
+	show := fs.Bool("version", false, "print version and exit")
+	prev := fs.Usage
+	fs.Usage = func() {
+		fmt.Fprintf(fs.Output(), "%s %s\n", tool, Version())
+		if prev != nil {
+			prev()
+		} else {
+			fs.PrintDefaults()
+		}
 	}
 	return show
 }

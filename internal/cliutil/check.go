@@ -5,7 +5,7 @@
 // function identity; a later `--baseline` run suppresses exactly those, so
 // the gate only fires on new findings even as unrelated code moves around.
 
-package main
+package cliutil
 
 import (
 	"fmt"
@@ -53,29 +53,29 @@ func (c *checkConfig) validate(inPlace bool) error {
 
 // warnIfNoChecks tells the user when --check ran a patch set with no check
 // rules: the run is legal (zero findings) but almost certainly a mistake.
-func (c *checkConfig) warnIfNoChecks(patches []*sempatch.Patch) {
+func (c *command) warnIfNoChecks(patches []*sempatch.Patch) {
 	for _, p := range patches {
 		if p.HasChecks() {
 			return
 		}
 	}
-	fmt.Fprintln(os.Stderr, "gocci: warning: --check with no check rules in the patch set; nothing can be reported")
+	c.warnf("warning: --check with no check rules in the patch set; nothing can be reported")
 }
 
 // finishCheck reports the run's findings and returns the process exit code:
 // 1 when any finding at or above --fail-on survives the baseline, 0 when
-// clean. Processing errors already forced exit 1 via g.hadError.
-func (g *gocci) finishCheck(cfg checkConfig) int {
-	findings := g.findings
+// clean. Processing errors already forced exit 1 via c.hadError.
+func (c *command) finishCheck(cfg checkConfig) int {
+	findings := c.findings
 	analysis.Sort(findings)
 
 	if cfg.baselineWrite {
 		bl := analysis.NewBaseline(findings)
 		if err := bl.Write(cfg.baselinePath); err != nil {
-			fatal(err)
+			return c.fail(err)
 		}
-		fmt.Fprintf(os.Stderr, "gocci: baseline: %d findings recorded to %s\n", len(findings), cfg.baselinePath)
-		if g.hadError {
+		c.warnf("baseline: %d findings recorded to %s", len(findings), cfg.baselinePath)
+		if c.hadError {
 			return 1
 		}
 		return 0
@@ -85,40 +85,38 @@ func (g *gocci) finishCheck(cfg checkConfig) int {
 	if cfg.baselinePath != "" {
 		bl, err := analysis.LoadBaseline(cfg.baselinePath)
 		if err != nil {
-			fatal(err)
+			return c.fail(err)
 		}
 		kept := bl.Filter(findings)
 		suppressed = len(findings) - len(kept)
 		findings = kept
 	}
 
+	var err error
 	switch cfg.format {
 	case "json":
-		if err := analysis.WriteNDJSON(os.Stdout, findings); err != nil {
-			fatal(err)
-		}
+		err = analysis.WriteNDJSON(os.Stdout, findings)
 	case "sarif":
-		if err := analysis.WriteSarif(os.Stdout, buildinfo.Version(), findings); err != nil {
-			fatal(err)
-		}
+		err = analysis.WriteSarif(os.Stdout, buildinfo.Version(), findings)
 	default:
-		if err := analysis.WriteText(os.Stdout, findings); err != nil {
-			fatal(err)
-		}
+		err = analysis.WriteText(os.Stdout, findings)
+	}
+	if err != nil {
+		return c.fail(err)
 	}
 
 	// The parsed count is the warm-cache signal: a repeat sweep over an
 	// unchanged tree replays every finding and reports "parsed: 0".
-	fmt.Fprintf(os.Stderr, "gocci: parsed: %d\n", g.st.Parsed+g.cst.Parsed)
+	c.warnf("parsed: %d", c.st.Parsed+c.cst.Parsed)
 	by := analysis.CountBySeverity(findings)
-	fmt.Fprintf(os.Stderr, "gocci: %d findings (%d error, %d warning, %d info)",
-		len(findings), by[analysis.SeverityError], by[analysis.SeverityWarning], by[analysis.SeverityInfo])
+	fmt.Fprintf(os.Stderr, "%s: %d findings (%d error, %d warning, %d info)",
+		c.tool, len(findings), by[analysis.SeverityError], by[analysis.SeverityWarning], by[analysis.SeverityInfo])
 	if suppressed > 0 {
 		fmt.Fprintf(os.Stderr, ", %d suppressed by baseline", suppressed)
 	}
 	fmt.Fprintln(os.Stderr)
 
-	if g.hadError {
+	if c.hadError {
 		return 1
 	}
 	if len(findings) > 0 && analysis.MaxRank(findings) >= analysis.Rank(cfg.failOn) {

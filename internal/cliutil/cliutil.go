@@ -1,8 +1,12 @@
-// Package cliutil holds the file-handling helpers shared by the gocci
-// command-line front ends: the atomic in-place writer and the recursive
-// source-tree collector. They were born in cmd/gocci and moved here when
-// the HPC tools (gocci-acc2omp, gocci-hipify) became engine clients with
-// the same --in-place and -r semantics.
+// Package cliutil is the gocci command line: Main parses the flags,
+// collects the inputs, and runs the patches — the named shipped campaign
+// (`--campaign`) and any .cocci files — either through one cross-file
+// engine run or on the batch runner with its worker pool, prefilter, and
+// caches, rendering diffs, in-place rewrites, check-mode findings, and
+// statistics. cmd/gocci is a call to Main; cmd/gocci-hipify is the same
+// call with `--campaign hipify` prepended. This file holds its file
+// handling: the atomic in-place writer, the trace writer, and the
+// recursive source-tree collector.
 package cliutil
 
 import (

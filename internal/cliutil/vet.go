@@ -4,9 +4,10 @@
 // never prune. Exit codes follow the check-mode convention: 0 clean, 1 when
 // any patch fails to parse or has issues, 2 on usage errors.
 
-package main
+package cliutil
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -16,13 +17,18 @@ import (
 )
 
 // runVet implements the vet subcommand over args (everything after "vet").
-func runVet(args []string) int {
-	fs := flag.NewFlagSet("gocci vet", flag.ExitOnError)
+func runVet(tool string, args []string) int {
+	fs := flag.NewFlagSet(tool+" vet", flag.ContinueOnError)
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: gocci vet patch.cocci [more.cocci ...]")
+		fmt.Fprintf(os.Stderr, "usage: %s vet patch.cocci [more.cocci ...]\n", tool)
 		fs.PrintDefaults()
 	}
-	_ = fs.Parse(args) // ExitOnError: a bad flag exits 2 inside Parse
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 	if fs.NArg() == 0 {
 		fs.Usage()
 		return 2
@@ -32,13 +38,13 @@ func runVet(args []string) int {
 	for _, path := range fs.Args() {
 		b, err := os.ReadFile(path)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "gocci: vet:", err)
+			fmt.Fprintf(os.Stderr, "%s: vet: %v\n", tool, err)
 			exit = 1
 			continue
 		}
 		p, err := smpl.ParsePatch(path, string(b))
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "gocci: vet:", err)
+			fmt.Fprintf(os.Stderr, "%s: vet: %v\n", tool, err)
 			exit = 1
 			continue
 		}
@@ -49,7 +55,7 @@ func runVet(args []string) int {
 		total += len(issues)
 	}
 	if total > 0 {
-		fmt.Fprintf(os.Stderr, "gocci: vet: %d issues\n", total)
+		fmt.Fprintf(os.Stderr, "%s: vet: %d issues\n", tool, total)
 		exit = 1
 	}
 	return exit

@@ -73,7 +73,7 @@ func checkFindings(t *testing.T, c *Campaign, name, src string) []sempatch.Findi
 
 func TestChecksCampaignIsMatchOnly(t *testing.T) {
 	c := checksCampaign()
-	patches, err := c.Patches()
+	patches, err := c.patches()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,7 @@
 // this package ships the same transformations as production campaigns — the
 // SmPL text is generated from the CUDA→HIP dictionaries (dict.go) or wired
 // to the live translator (internal/accomp) through versioned script hooks,
-// so the campaign CLIs inherit the prefilter, worker pool, per-function
+// so `gocci --campaign` inherits the prefilter, worker pool, per-function
 // cache, and persistent result cache for free. testdata holds each
 // campaign's expected outputs.
 //
@@ -77,8 +77,8 @@ func (c *Campaign) PatchText(name string) string {
 	return ""
 }
 
-// Patches parses every member into the public patch type.
-func (c *Campaign) Patches() ([]*sempatch.Patch, error) {
+// patches parses every member into the public patch type.
+func (c *Campaign) patches() ([]*sempatch.Patch, error) {
 	out := make([]*sempatch.Patch, len(c.members))
 	for i, m := range c.members {
 		p, err := sempatch.ParsePatch(m.name, m.text)
@@ -90,23 +90,19 @@ func (c *Campaign) Patches() ([]*sempatch.Patch, error) {
 	return out, nil
 }
 
-// Options overlays the campaign's required dialect onto base; every other
-// knob (workers, cache, prefilter, verify) stays the caller's.
-func (c *Campaign) Options(base sempatch.Options) sempatch.Options {
-	base.CPlusPlus, base.Std, base.CUDA = c.CPlusPlus, c.Std, c.CUDA
-	return base
-}
-
 // Build compiles the campaign for batch application under the caller's
-// options (dialect fields overridden by the campaign's) and registers its
+// options, with the dialect fields overridden by the campaign's (workers,
+// cache, prefilter, and verify stay the caller's), and registers its
 // script hooks with their versions, keeping the persistent result cache
-// sound and enabled.
-func (c *Campaign) Build(base sempatch.Options) (*sempatch.Campaign, error) {
-	patches, err := c.Patches()
+// sound and enabled. The extra patches run after the members, in order,
+// under the same dialect.
+func (c *Campaign) Build(base sempatch.Options, extra ...*sempatch.Patch) (*sempatch.Campaign, error) {
+	patches, err := c.patches()
 	if err != nil {
 		return nil, err
 	}
-	ca := sempatch.NewCampaign(patches, c.Options(base))
+	base.CPlusPlus, base.Std, base.CUDA = c.CPlusPlus, c.Std, c.CUDA
+	ca := sempatch.NewCampaign(append(patches, extra...), base)
 	for _, h := range c.hooks {
 		ca.RegisterScriptVersioned(h.rule, h.version, h.fn)
 	}

@@ -57,7 +57,7 @@ func TestRegistry(t *testing.T) {
 		if len(c.PatchNames()) == 0 {
 			t.Errorf("%s: no member patches", name)
 		}
-		if _, err := c.Patches(); err != nil {
+		if _, err := c.patches(); err != nil {
 			t.Errorf("%s: generated patch does not parse: %v", name, err)
 		}
 	}

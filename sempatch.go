@@ -654,7 +654,8 @@ type CampaignStats struct {
 // BatchApplier carry over; with Options.CacheDir set, per-patch per-file
 // results replay from the persistent cache. See docs/batch.md.
 type Campaign struct {
-	c *batch.Campaign
+	c       *batch.Campaign
+	patches []*Patch
 }
 
 // NewCampaign compiles the patches for one-sweep application. Each name in
@@ -665,8 +666,11 @@ func NewCampaign(patches []*Patch, opts Options) *Campaign {
 	for i, p := range patches {
 		sp[i] = p.p
 	}
-	return &Campaign{c: batch.NewCampaign(sp, opts.batch())}
+	return &Campaign{c: batch.NewCampaign(sp, opts.batch()), patches: patches}
 }
+
+// Patches returns the member patches in application order.
+func (c *Campaign) Patches() []*Patch { return c.patches }
 
 // RegisterScript installs a Go handler for the named script rule on every
 // worker engine of every member patch. Call before ApplyAll; the handler

@@ -1,12 +1,15 @@
 package sempatch
 
 import (
+	"fmt"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/codegen"
 	"repro/internal/instrument"
+	"repro/internal/patchlib"
 )
 
 const renamePatch = `@r@
@@ -166,6 +169,45 @@ func TestBatchParseFailureCountsParsed(t *testing.T) {
 	}
 	if st.Files != 3 || st.Errors != 1 || st.Parsed != 2 || st.Skipped != 1 || st.Changed != 1 {
 		t.Errorf("stats = %+v, want 3 files, 1 error, 2 parsed, 1 skipped, 1 changed", st)
+	}
+}
+
+// The whole-codebase scenario at every pool size: the L1 instrumentation
+// patch changes every file of an OpenMP corpus, with no errors and the same
+// outputs whether one worker, four, or one per CPU runs it.
+func TestBatchWorkerCounts(t *testing.T) {
+	e, ok := patchlib.ByID("L1")
+	if !ok {
+		t.Fatal("experiment L1 missing")
+	}
+	p, err := ParsePatch("batch.cocci", e.Patch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const nfiles = 16
+	files := make([]File, nfiles)
+	for i := range files {
+		src := codegen.OpenMP(codegen.Config{Funcs: 8 + i%5, StmtsPerFunc: 3, Seed: int64(i + 1)})
+		files[i] = File{Name: fmt.Sprintf("src%02d.c", i), Src: src}
+	}
+	var want []string
+	for _, w := range []int{1, 4, runtime.NumCPU()} {
+		var outs []string
+		st, err := NewBatchApplier(p, Options{Workers: w}).ApplyAllFunc(files, func(fr FileResult) error {
+			outs = append(outs, fr.Output)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Changed != nfiles || st.Errors != 0 {
+			t.Errorf("workers=%d: stats = %+v, want %d files changed and no errors", w, st, nfiles)
+		}
+		if want == nil {
+			want = outs
+		} else if !slices.Equal(outs, want) {
+			t.Errorf("workers=%d: outputs differ from the one-worker run", w)
+		}
 	}
 }
 

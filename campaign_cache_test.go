@@ -47,9 +47,9 @@ func TestCacheParity(t *testing.T) {
 	}
 	dir := filepath.Join(t.TempDir(), "cache")
 
-	collect := func(opts Options) ([]FileResult, BatchStats) {
-		var out []FileResult
-		st, err := NewBatchApplier(patch, opts).ApplyAllFunc(files, func(fr FileResult) error {
+	collect := func(opts Options) ([]CampaignFileResult, PatchStats) {
+		var out []CampaignFileResult
+		st, err := NewCampaign([]*Patch{patch}, opts).ApplyAllFunc(files, func(fr CampaignFileResult) error {
 			if fr.Err != nil {
 				return fr.Err
 			}
@@ -59,7 +59,7 @@ func TestCacheParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return out, st
+		return out, st.PerPatch[0]
 	}
 
 	disabled, _ := collect(Options{Workers: 4})
@@ -75,7 +75,7 @@ func TestCacheParity(t *testing.T) {
 	for i := range files {
 		for _, mode := range []struct {
 			name string
-			fr   FileResult
+			fr   CampaignFileResult
 		}{{"cold", cold[i]}, {"warm", warm[i]}} {
 			if mode.fr.Output != disabled[i].Output {
 				t.Errorf("%s %s: output differs from cache-disabled run", mode.name, files[i].Name)
@@ -83,14 +83,14 @@ func TestCacheParity(t *testing.T) {
 			if mode.fr.Diff != disabled[i].Diff {
 				t.Errorf("%s %s: diff differs from cache-disabled run", mode.name, files[i].Name)
 			}
-			if fmt.Sprint(mode.fr.MatchCount) != fmt.Sprint(disabled[i].MatchCount) {
+			if fmt.Sprint(mode.fr.Patches[0].MatchCount) != fmt.Sprint(disabled[i].Patches[0].MatchCount) {
 				t.Errorf("%s %s: match counts differ", mode.name, files[i].Name)
 			}
 		}
 	}
 	// A warm run touches the parser not at all.
 	before := cparse.Parses()
-	if _, err := NewBatchApplier(patch, Options{Workers: 4, CacheDir: dir}).ApplyAllFunc(files, nil); err != nil {
+	if _, err := NewCampaign([]*Patch{patch}, Options{Workers: 4, CacheDir: dir}).ApplyAllFunc(files, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := cparse.Parses() - before; got != 0 {
@@ -201,9 +201,9 @@ func TestCampaignFailureDoesNotPoisonCache(t *testing.T) {
 	// (1) The good member's entry for bad.c is byte-correct: a single-patch
 	// batch run over the same cache replays it, matching a cache-disabled
 	// run exactly.
-	applyOne := func(p *Patch, opts Options, f File) FileResult {
-		var out FileResult
-		if _, err := NewBatchApplier(p, opts).ApplyAllFunc([]File{f}, func(fr FileResult) error {
+	applyOne := func(p *Patch, opts Options, f File) CampaignFileResult {
+		var out CampaignFileResult
+		if _, err := NewCampaign([]*Patch{p}, opts).ApplyAllFunc([]File{f}, func(fr CampaignFileResult) error {
 			out = fr
 			return fr.Err
 		}); err != nil {
@@ -213,7 +213,7 @@ func TestCampaignFailureDoesNotPoisonCache(t *testing.T) {
 	}
 	cached := applyOne(good, Options{CacheDir: dir}, files[0])
 	plain := applyOne(good, Options{}, files[0])
-	if !cached.Cached {
+	if !cached.Patches[0].Cached {
 		t.Error("good member's entry for bad.c missing from the cache")
 	}
 	if cached.Output != plain.Output || cached.Diff != plain.Diff {
@@ -224,7 +224,7 @@ func TestCampaignFailureDoesNotPoisonCache(t *testing.T) {
 	// seen (the good member's output) must have no entry: a first run over
 	// it derives, not replays.
 	intermediate := File{Name: "bad.c", Src: plain.Output}
-	if fr := applyOne(tail, Options{CacheDir: dir}, intermediate); fr.Cached {
+	if fr := applyOne(tail, Options{CacheDir: dir}, intermediate); fr.Patches[0].Cached {
 		t.Error("tail member has a cache entry for a file it never processed")
 	}
 }

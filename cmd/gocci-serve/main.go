@@ -53,7 +53,6 @@ func main() {
 	cuda := flag.Bool("cuda", false, "enable CUDA <<< >>> kernel launches")
 	workers := flag.Int("j", runtime.GOMAXPROCS(0), "worker-pool size per request")
 	noPrefilter := flag.Bool("no-prefilter", false, "parse every file, even those a patch provably cannot touch")
-	noFnCache := flag.Bool("no-fn-cache", false, "disable function-granular matching and caching; eligible patches match whole files instead of per-function segments")
 	verify := flag.Bool("verify", false, "run the post-transform safety checker on every changed file; unsafe edits are demoted to warnings surfaced over the API and /metrics")
 	cacheDir := flag.String("cache-dir", "", "disk cache behind the in-memory layer; a restarted daemon comes back warm")
 	watch := flag.Duration("watch", 2*time.Second, "poll-watcher interval for change-driven invalidation; 0 disables")
@@ -92,7 +91,7 @@ func main() {
 	}
 	opts := sempatch.Options{
 		CPlusPlus: *cxx > 0, Std: *cxx, CUDA: *cuda,
-		Defines: defines, Workers: *workers, NoPrefilter: *noPrefilter, NoFuncCache: *noFnCache,
+		Defines: defines, Workers: *workers, NoPrefilter: *noPrefilter,
 		Verify: *verify,
 	}
 

@@ -37,10 +37,10 @@ expression list el;
 	//  }
 }
 
-// ExampleBatchApplier applies one patch across a whole file set with a
-// worker pool. Results stream back in input order whatever the worker
-// count, so the output below is deterministic.
-func ExampleBatchApplier() {
+// ExampleCampaign_onePatch applies one patch across a whole file set with a
+// worker pool: a campaign of one. Results stream back in input order
+// whatever the worker count, so the output below is deterministic.
+func ExampleCampaign_onePatch() {
 	patch, err := sempatch.ParsePatch("swap.cocci", `@@
 expression list el;
 @@
@@ -55,8 +55,8 @@ expression list el;
 		{Name: "b.c", Src: "void b(void)\n{\n\tfine();\n}\n"},
 		{Name: "c.c", Src: "void c(void)\n{\n\told_api(2);\n}\n"},
 	}
-	ba := sempatch.NewBatchApplier(patch, sempatch.Options{Workers: 4})
-	for fr := range ba.ApplyAll(files) {
+	ca := sempatch.NewCampaign([]*sempatch.Patch{patch}, sempatch.Options{Workers: 4})
+	for fr := range ca.ApplyAll(files) {
 		if fr.Err != nil {
 			panic(fr.Err)
 		}
@@ -110,11 +110,11 @@ expression list el;
 	// b.c changed=false [rename.cocci changed=false skipped=true] [harden.cocci changed=false skipped=true]
 }
 
-// ExampleBatchApplier_cache shows the persistent corpus index: the first
+// ExampleCampaign_cache shows the persistent corpus index: the first
 // run populates the cache, the second replays every unchanged file's
 // result without scanning, parsing, or matching it. Outputs are identical
 // either way.
-func ExampleBatchApplier_cache() {
+func ExampleCampaign_cache() {
 	patch, err := sempatch.ParsePatch("swap.cocci", `@@
 expression list el;
 @@
@@ -136,24 +136,25 @@ expression list el;
 	defer os.RemoveAll(dir)
 	opts := sempatch.Options{CacheDir: dir}
 
-	cold, err := sempatch.NewBatchApplier(patch, opts).ApplyAllFunc(files, nil)
+	patches := []*sempatch.Patch{patch}
+	cold, err := sempatch.NewCampaign(patches, opts).ApplyAllFunc(files, nil)
 	if err != nil {
 		panic(err)
 	}
-	warm, err := sempatch.NewBatchApplier(patch, opts).ApplyAllFunc(files, nil)
+	warm, err := sempatch.NewCampaign(patches, opts).ApplyAllFunc(files, nil)
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("cold: changed=%d cached=%d\n", cold.Changed, cold.Cached)
-	fmt.Printf("warm: changed=%d cached=%d\n", warm.Changed, warm.Cached)
+	fmt.Printf("cold: changed=%d cached=%d\n", cold.Changed, cold.PerPatch[0].Cached)
+	fmt.Printf("warm: changed=%d cached=%d\n", warm.Changed, warm.PerPatch[0].Cached)
 	// Output:
 	// cold: changed=2 cached=0
 	// warm: changed=2 cached=3
 }
 
-// ExampleBatchApplier_applyAllFunc shows the callback form with aggregate
-// statistics — what `gocci -r --stats` prints is built on this.
-func ExampleBatchApplier_applyAllFunc() {
+// ExampleCampaign_applyAllFunc shows the callback form with aggregate and
+// per-patch statistics — what `gocci -r --stats` prints is built on this.
+func ExampleCampaign_applyAllFunc() {
 	patch, err := sempatch.ParsePatch("swap.cocci", `@@
 expression list el;
 @@
@@ -167,13 +168,13 @@ expression list el;
 		{Name: "a.c", Src: "void a(void)\n{\n\told_api(1);\n}\n"},
 		{Name: "b.c", Src: "void b(void)\n{\n\tfine();\n}\n"},
 	}
-	st, err := sempatch.NewBatchApplier(patch, sempatch.Options{}).
+	st, err := sempatch.NewCampaign([]*sempatch.Patch{patch}, sempatch.Options{}).
 		ApplyAllFunc(files, nil)
 	if err != nil {
 		panic(err)
 	}
 	fmt.Printf("files=%d matched=%d changed=%d errors=%d\n",
-		st.Files, st.Matched, st.Changed, st.Errors)
+		st.Files, st.PerPatch[0].Matched, st.Changed, st.Errors)
 	// Output:
 	// files=2 matched=1 changed=1 errors=0
 }

@@ -19,7 +19,7 @@ type InferPair struct {
 
 // InferResult is a successfully inferred and verified patch.
 type InferResult struct {
-	// Patch is the compiled patch, ready for NewApplier/NewBatchApplier.
+	// Patch is the compiled patch, ready for NewApplier/NewCampaign.
 	Patch *Patch
 	// Cocci is the rendered .cocci text.
 	Cocci string

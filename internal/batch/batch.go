@@ -19,6 +19,7 @@ package batch
 
 import (
 	"fmt"
+	"path/filepath"
 	"sort"
 	"strings"
 
@@ -83,6 +84,18 @@ type Options struct {
 	// instrumentation site costs a single pointer check.
 	Tracer *obs.Tracer
 }
+
+// srcExts are the C/C++/CUDA source suffixes.
+var srcExts = map[string]bool{
+	".c": true, ".h": true,
+	".cc": true, ".cpp": true, ".cxx": true,
+	".hh": true, ".hpp": true, ".hxx": true,
+	".cu": true, ".cuh": true,
+}
+
+// IsSource reports whether path has a C/C++/CUDA source suffix: the files
+// `gocci -r` collects and a serve session sweeps.
+func IsSource(path string) bool { return srcExts[filepath.Ext(path)] }
 
 // fingerprint canonicalizes every result-affecting engine option into the
 // result-cache key, so a cached outcome is only ever replayed under the

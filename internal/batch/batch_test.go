@@ -14,6 +14,19 @@ import (
 	"repro/internal/smpl"
 )
 
+func TestIsSource(t *testing.T) {
+	for _, p := range []string{"a.c", "b.h", "c.cu", "d.cuh", "e.cpp", "f.hpp", "g.cc", "h.cxx"} {
+		if !IsSource(p) {
+			t.Errorf("IsSource(%s) = false", p)
+		}
+	}
+	for _, p := range []string{"a.go", "b.txt", "Makefile", "c.cocci", "d"} {
+		if IsSource(p) {
+			t.Errorf("IsSource(%s) = true", p)
+		}
+	}
+}
+
 const renamePatch = `@r@
 expression list el;
 @@

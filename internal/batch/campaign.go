@@ -10,8 +10,7 @@
 // Semantics are sequential composition per file: patch i+1 sees the file as
 // patch i left it, exactly as if the patches had been applied by separate
 // runs in order. Files remain independent of each other. A one-member
-// campaign is the single-patch run (sempatch.BatchApplier is a view over
-// one).
+// campaign is the single-patch run.
 
 package batch
 
@@ -106,7 +105,7 @@ func NewCampaign(patches []*smpl.Patch, opts Options) *Campaign {
 	}
 	for _, p := range patches {
 		cp := &campaignPatch{patch: p, compiled: core.Compile(p), engOpts: opts.Engine}
-		cp.engOpts.Defines = intersectDefines(opts.Engine.Defines, p.Virtuals)
+		cp.engOpts.Defines = core.IntersectDefines(opts.Engine.Defines, p.Virtuals)
 		if !opts.NoPrefilter {
 			cp.filter = cp.compiled.Prefilter.ForDefines(cp.engOpts.Defines)
 		}
@@ -117,20 +116,6 @@ func NewCampaign(patches []*smpl.Patch, opts Options) *Campaign {
 	}
 	c.probeAtoms = c.store == nil && len(c.patches) == 1
 	return c
-}
-
-func intersectDefines(defines, virtuals []string) []string {
-	decl := map[string]bool{}
-	for _, v := range virtuals {
-		decl[v] = true
-	}
-	var out []string
-	for _, d := range defines {
-		if decl[d] {
-			out = append(out, d)
-		}
-	}
-	return out
 }
 
 // Cache returns the disk cache opened from Options.CacheDir, or nil when

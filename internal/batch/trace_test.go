@@ -1,8 +1,8 @@
 // Integrity tests for the tracing thread through the batch pipeline: spans
 // must nest cleanly per track, per-stage self-times must account for the
 // sweep's wall time, and the rendered Chrome trace JSON must keep its
-// schema. BenchmarkTraceOverhead pins the cost of both states of the
-// Options.Tracer switch.
+// schema. The cost of tracing is measured end to end by the benchmark
+// module (bench/, obs.trace_overhead_ratio).
 
 package batch
 
@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -20,6 +21,45 @@ import (
 	"repro/internal/smpl"
 )
 
+// traceDotsPatch anchors two statements across dots — matched per function
+// by the CFG path engine, the paper's expensive-match shape.
+const traceDotsPatch = `@r@
+expression E;
+@@
+- prepare(E);
++ prepare_v2(E);
+... when != giveup(E)
+    when != reset(E)
+    when != retry(E)
+    when != checkpoint(E)
+    when != abort_run()
+- commit(E);
++ commit_v2(E);
+`
+
+// traceKernel renders a kernel file of nFns functions; edit selects the
+// per-run constant of one function so consecutive runs differ in exactly
+// one function's content.
+func traceKernel(nFns, stmts, edit int) string {
+	var sb strings.Builder
+	sb.WriteString("#include <hpc.h>\n\n")
+	for f := 0; f < nFns; f++ {
+		c := f
+		if f == nFns/2 {
+			c = 1000 + edit
+		}
+		fmt.Fprintf(&sb, "void stage_%d(int x)\n{\n\tprepare(x);\n", f)
+		for s := 0; s < stmts; s++ {
+			// Branchy bodies: the dots constraint is verified across every
+			// prepare-to-commit path, so match cost grows with the CFG, the
+			// shape the per-function cache pays off on.
+			fmt.Fprintf(&sb, "\tif (x > %d) { work_%d(x, %d); } else { idle_%d(x); }\n", s, s, c*10+s, s)
+		}
+		sb.WriteString("\tcommit(x);\n}\n\n")
+	}
+	return sb.String()
+}
+
 // traceFixture is a small mixed corpus: half the files match the dots
 // patch, half are prefilter-skippable, so a traced sweep exercises read,
 // hash, prefilter (both outcomes), parse, match, render, and cache spans.
@@ -27,7 +67,7 @@ func traceFixture(n int) []core.SourceFile {
 	files := make([]core.SourceFile, n)
 	for i := range files {
 		if i%2 == 0 {
-			files[i] = core.SourceFile{Name: fmt.Sprintf("m%d.c", i), Src: benchKernel(4, 6, i)}
+			files[i] = core.SourceFile{Name: fmt.Sprintf("m%d.c", i), Src: traceKernel(4, 6, i)}
 		} else {
 			files[i] = core.SourceFile{Name: fmt.Sprintf("s%d.c", i),
 				Src: fmt.Sprintf("void idle_%d(int x)\n{\n\tspin(x, %d);\n}\n", i, i)}
@@ -38,7 +78,7 @@ func traceFixture(n int) []core.SourceFile {
 
 func tracePatch(t testing.TB) *smpl.Patch {
 	t.Helper()
-	p, err := smpl.ParsePatch("bench.cocci", benchDotsPatch)
+	p, err := smpl.ParsePatch("bench.cocci", traceDotsPatch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,37 +279,5 @@ func TestTraceCampaignStates(t *testing.T) {
 	wp := warm.Profile()
 	if wp.FileCacheHits == 0 {
 		t.Errorf("warm campaign run shows no file-cache hits: %+v", wp)
-	}
-}
-
-// BenchmarkTraceOverhead is BenchmarkWarmOneFunctionEdit's warm
-// function-granular loop under both states of the Options.Tracer switch.
-// "disabled" is the default nil sink — the cost of the pointer checks the
-// instrumentation leaves in the hot path (acceptance: <2% over the
-// untouched baseline) — and "enabled" is the full recording cost.
-func BenchmarkTraceOverhead(b *testing.B) {
-	patch := parseBenchPatch(b, benchDotsPatch)
-	for _, mode := range []struct {
-		name   string
-		traced bool
-	}{
-		{"disabled", false},
-		{"enabled", true},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			opts := Options{Workers: 1, Store: cache.NewMemory(nil, 512)}
-			if mode.traced {
-				opts.Tracer = obs.New()
-			}
-			r := single(patch, opts)
-			prime := []core.SourceFile{{Name: "k.c", Src: benchKernel(10, 16, -1)}}
-			runBench(b, r, prime, -1, -1)
-			b.SetBytes(int64(len(prime[0].Src)))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				files := []core.SourceFile{{Name: "k.c", Src: benchKernel(10, 16, i)}}
-				runBench(b, r, files, 1, 9)
-			}
-		})
 	}
 }

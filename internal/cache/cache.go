@@ -177,7 +177,7 @@ func (c *Cache) PutWords(fileHash string, words map[string]bool) error {
 }
 
 // Record is one cached per-file patch outcome. It stores exactly what is
-// needed to synthesize the FileResult a full run would produce: the
+// needed to synthesize the per-patch outcome a full run would produce: the
 // transformed text when the file changed, optionally the diff hunks that
 // lead to it, match counts, and the truncation/skip flags.
 type Record struct {

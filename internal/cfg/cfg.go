@@ -1,8 +1,8 @@
 // Package cfg builds intraprocedural control-flow graphs over function
-// bodies. The graph is the model over which the CTL engine (internal/ctl)
-// evaluates dots and `when` constraints: a statement-level wildcard in a
-// semantic patch matches a set of paths in this graph, exactly as in
-// Coccinelle's CTL-VW formalisation.
+// bodies. The graph is the model over which the path engine
+// (internal/match) evaluates dots and `when` constraints: a statement-level
+// wildcard in a semantic patch matches a set of paths in this graph,
+// exactly as in Coccinelle's CTL-VW formalisation.
 package cfg
 
 import (

@@ -107,7 +107,7 @@ func (c *command) finishCheck(cfg checkConfig) int {
 
 	// The parsed count is the warm-cache signal: a repeat sweep over an
 	// unchanged tree replays every finding and reports "parsed: 0".
-	c.warnf("parsed: %d", c.st.Parsed+c.cst.Parsed)
+	c.warnf("parsed: %d", c.cst.Parsed)
 	by := analysis.CountBySeverity(findings)
 	fmt.Fprintf(os.Stderr, "%s: %d findings (%d error, %d warning, %d info)",
 		c.tool, len(findings), by[analysis.SeverityError], by[analysis.SeverityWarning], by[analysis.SeverityInfo])

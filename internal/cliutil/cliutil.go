@@ -15,19 +15,9 @@ import (
 	"path/filepath"
 	"sort"
 
+	"repro/internal/batch"
 	"repro/internal/obs"
 )
-
-// srcExts are the file suffixes CollectSources gathers.
-var srcExts = map[string]bool{
-	".c": true, ".h": true,
-	".cc": true, ".cpp": true, ".cxx": true,
-	".hh": true, ".hpp": true, ".hxx": true,
-	".cu": true, ".cuh": true,
-}
-
-// IsSource reports whether path has a C/C++/CUDA source suffix.
-func IsSource(path string) bool { return srcExts[filepath.Ext(path)] }
 
 // WriteInPlace atomically replaces path with content, keeping the original
 // file's permission bits: the new text lands in a temp file in the same
@@ -114,7 +104,7 @@ func CollectSources(dirs []string, warnf func(format string, args ...any)) ([]st
 				}
 				return nil
 			}
-			if !IsSource(path) {
+			if !batch.IsSource(path) {
 				return nil
 			}
 			key := filepath.Clean(path)

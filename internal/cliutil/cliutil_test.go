@@ -6,19 +6,6 @@ import (
 	"testing"
 )
 
-func TestIsSource(t *testing.T) {
-	for _, p := range []string{"a.c", "b.h", "c.cu", "d.cuh", "e.cpp", "f.hpp", "g.cc", "h.cxx"} {
-		if !IsSource(p) {
-			t.Errorf("IsSource(%s) = false", p)
-		}
-	}
-	for _, p := range []string{"a.go", "b.txt", "Makefile", "c.cocci", "d"} {
-		if IsSource(p) {
-			t.Errorf("IsSource(%s) = true", p)
-		}
-	}
-}
-
 func TestWriteInPlace(t *testing.T) {
 	dir := t.TempDir()
 	p := filepath.Join(dir, "a.c")

@@ -11,6 +11,7 @@ import (
 
 	sempatch "repro"
 	"repro/internal/buildinfo"
+	"repro/internal/core"
 	"repro/internal/hpc"
 )
 
@@ -37,7 +38,6 @@ func Main(tool string, args []string) int {
 	stats := fs.Bool("stats", false, "print a files/matches/changes summary to stderr")
 	noPrefilter := fs.Bool("no-prefilter", false, "parse every file in batch runs, even those the patch provably cannot touch")
 	cacheDir := fs.String("cache-dir", "", "persistent corpus-index directory for batch (-r or --campaign) runs; re-runs over unchanged files replay cached results")
-	noFnCache := fs.Bool("no-fn-cache", false, "disable function-granular matching and caching; eligible patches match whole files instead of per-function segments")
 	verify := fs.Bool("verify", false, "run the post-transform safety checker in batch (-r or --campaign) runs; unsafe edits are demoted to warnings")
 	tracePath := fs.String("trace", "", "write a Chrome trace-event JSON profile of the run to this file (load in Perfetto)")
 	profile := fs.Bool("profile", false, "print an aggregate profile to stderr: self-time per stage, per-rule attribution, cache and prefilter effectiveness")
@@ -135,7 +135,7 @@ func Main(tool string, args []string) int {
 	opts := sempatch.Options{
 		CPlusPlus: *cxx > 0, Std: *cxx, CUDA: *cuda,
 		Defines: defines, Workers: *workers, NoPrefilter: *noPrefilter,
-		CacheDir: *cacheDir, NoFuncCache: *noFnCache, Verify: *verify,
+		CacheDir: *cacheDir, Verify: *verify,
 	}
 	var tracer *sempatch.Tracer
 	if *tracePath != "" || *profile {
@@ -217,8 +217,14 @@ func Main(tool string, args []string) int {
 		default:
 			// One engine run over all files: matches are not attributed
 			// per file, so no per-file "matched" count is reported.
+			matches := 0
+			for _, m := range cmd.ruleMatches {
+				for _, n := range m {
+					matches += n
+				}
+			}
 			cmd.warnf("%d files scanned, %d matches, %d changed in %v",
-				cmd.st.Files, cmd.st.Matches, cmd.st.Changed, took)
+				cmd.cst.Files, matches, cmd.cst.Changed, took)
 		}
 		// Fireable rules with zero matches across the whole run are dead
 		// weight in the patch set; surface them so campaigns can be pruned.
@@ -261,7 +267,7 @@ func Main(tool string, args []string) int {
 	if cfg.enabled {
 		return cmd.finishCheck(cfg)
 	}
-	if cmd.st.Changed+cmd.cst.Changed == 0 {
+	if cmd.cst.Changed == 0 {
 		fmt.Fprintln(os.Stderr, "no changes")
 	}
 	if cmd.hadError {
@@ -272,11 +278,12 @@ func Main(tool string, args []string) int {
 
 // command accumulates run state shared by all modes.
 type command struct {
-	tool        string // message prefix
-	inPlace     bool
-	quiet       bool
-	check       bool // --check: collect findings, suppress diffs and writes
-	st          sempatch.BatchStats
+	tool    string // message prefix
+	inPlace bool
+	quiet   bool
+	check   bool // --check: collect findings, suppress diffs and writes
+	// cst is the run's statistics; a cross-file run fills only Files,
+	// Changed and Parsed.
 	cst         sempatch.CampaignStats
 	cacheStatus sempatch.CacheStatus
 	ruleMatches []map[string]int // per patch: rule name -> match count
@@ -312,33 +319,42 @@ func (c *command) reportCache() {
 	}
 }
 
+// fileOutcome is one file's result as emit reports it: a batch result
+// folded over its member patches, or one file of a cross-file engine run.
+type fileOutcome struct {
+	name, output, diff string
+	envsTruncated      bool
+	findings           []sempatch.Finding
+	err                error
+}
+
 // emit handles one per-file outcome: report errors, then write or print
 // changes.
-func (c *command) emit(fr sempatch.FileResult) error {
-	if fr.Err != nil {
-		c.warnf("%v", fr.Err)
+func (c *command) emit(fo fileOutcome) error {
+	if fo.err != nil {
+		c.warnf("%v", fo.err)
 		c.hadError = true
 		return nil
 	}
-	if fr.EnvsTruncated {
-		c.warnf("warning: %s: environment cap (MaxEnvs) hit, matches dropped; results may be incomplete", fr.Name)
+	if fo.envsTruncated {
+		c.warnf("warning: %s: environment cap (MaxEnvs) hit, matches dropped; results may be incomplete", fo.name)
 	}
-	c.findings = append(c.findings, fr.Findings...)
+	c.findings = append(c.findings, fo.findings...)
 	if c.check {
 		// Match-only reporting: findings are emitted at the end of the run;
 		// any transform a mixed patch set produced is deliberately dropped.
 		return nil
 	}
-	if !fr.Changed() {
+	if fo.diff == "" {
 		return nil
 	}
 	if c.inPlace {
-		if err := WriteInPlace(fr.Name, fr.Output); err != nil {
+		if err := WriteInPlace(fo.name, fo.output); err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "patched %s\n", fr.Name)
+		fmt.Fprintf(os.Stderr, "patched %s\n", fo.name)
 	} else if !c.quiet {
-		fmt.Print(fr.Diff)
+		fmt.Print(fo.diff)
 	}
 	return nil
 }
@@ -357,13 +373,13 @@ func verifySuffix(on bool, demoted, warnings int) string {
 // once, and file contents are read lazily inside the pool.
 func (c *command) runBatch(ca *sempatch.Campaign, paths []string) error {
 	st, err := ca.ApplyAllPathsFunc(paths, func(fr sempatch.CampaignFileResult) error {
-		out := sempatch.FileResult{Name: fr.Name, Output: fr.Output, Diff: fr.Diff, Err: fr.Err,
-			Findings: fr.Findings()}
+		out := fileOutcome{name: fr.Name, output: fr.Output, diff: fr.Diff, err: fr.Err,
+			findings: fr.Findings()}
 		for i, o := range fr.Patches {
 			for rule, n := range o.MatchCount {
 				c.ruleMatches[i][rule] += n
 			}
-			out.EnvsTruncated = out.EnvsTruncated || o.EnvsTruncated
+			out.envsTruncated = out.envsTruncated || o.EnvsTruncated
 			for _, w := range o.Warnings {
 				c.warnf("verify: %s: %s", fr.Name, w)
 			}
@@ -409,7 +425,7 @@ func (c *command) runSingle(patches []*sempatch.Patch, opts sempatch.Options, pa
 	}
 	for pi, patch := range patches {
 		popts := opts
-		popts.Defines = intersectDefines(opts.Defines, patch.Virtuals())
+		popts.Defines = core.IntersectDefines(opts.Defines, patch.Virtuals())
 		res, err := sempatch.NewApplier(patch, popts).Apply(files...)
 		if err != nil {
 			return err
@@ -419,7 +435,6 @@ func (c *command) runSingle(patches []*sempatch.Patch, opts sempatch.Options, pa
 		}
 		for rule, n := range res.MatchCount {
 			c.ruleMatches[pi][rule] += n
-			c.st.Matches += n
 		}
 		c.findings = append(c.findings, res.Findings...)
 		for i, f := range files {
@@ -428,38 +443,24 @@ func (c *command) runSingle(patches []*sempatch.Patch, opts sempatch.Options, pa
 			files[i].Src = res.Outputs[f.Name]
 		}
 	}
-	c.st.Files = len(files)
-	c.st.Parsed = len(files) // the single-run engine parses every file
+	changed := 0
 	for _, path := range paths {
-		fr := sempatch.FileResult{Name: path, Output: outputs[path]}
+		fo := fileOutcome{name: path, output: outputs[path]}
 		if len(patches) == 1 {
-			fr.Diff = diffs[path]
+			fo.diff = diffs[path]
 		} else if outputs[path] != orig[path] {
-			fr.Diff = sempatch.Diff(path, orig[path], outputs[path])
+			fo.diff = sempatch.Diff(path, orig[path], outputs[path])
 		}
-		if fr.Changed() {
-			c.st.Changed++
+		if fo.diff != "" {
+			changed++
 		}
-		if err := c.emit(fr); err != nil {
+		if err := c.emit(fo); err != nil {
 			return err
 		}
 	}
+	// The single-run engine parses every file.
+	c.cst = sempatch.CampaignStats{Files: len(files), Changed: changed, Parsed: len(files)}
 	return nil
-}
-
-// intersectDefines keeps the defines a patch declares virtual.
-func intersectDefines(defines, virtuals []string) []string {
-	decl := map[string]bool{}
-	for _, v := range virtuals {
-		decl[v] = true
-	}
-	var out []string
-	for _, d := range defines {
-		if decl[d] {
-			out = append(out, d)
-		}
-	}
-	return out
 }
 
 // defineList collects repeatable -D flags.

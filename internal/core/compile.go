@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/index"
@@ -28,6 +29,19 @@ func ValidateDefines(defines []string, patches ...*smpl.Patch) error {
 		}
 	}
 	return nil
+}
+
+// IntersectDefines keeps the defines a patch declares virtual, in order:
+// each member of a campaign, and each patch of a cross-file run, sees only
+// the run-wide names it declares.
+func IntersectDefines(defines, virtuals []string) []string {
+	var out []string
+	for _, d := range defines {
+		if slices.Contains(virtuals, d) {
+			out = append(out, d)
+		}
+	}
+	return out
 }
 
 // Compiled holds the read-only artifacts an engine derives from a parsed

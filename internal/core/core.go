@@ -186,11 +186,11 @@ type fileState struct {
 	owned  bool
 	trace  *obs.Track
 	// cfgs caches one control-flow graph per function for the current
-	// parse. Both the CFG dots engine and the CTL verifier read through
-	// cfg(); a refresh invalidates the cache with the tree. Before this
-	// cache the CTL verifier rebuilt the graph per match — O(matches ×
-	// function size) on match-dense files; TestCFGCacheOneBuildPerFunction
-	// pins one build per function per parse.
+	// parse. The CFG dots engine reads through cfg(); a refresh
+	// invalidates the cache with the tree. Before this cache the graph was
+	// rebuilt per match — O(matches × function size) on match-dense files;
+	// TestCFGCacheOneBuildPerFunction pins one build per function per
+	// parse.
 	cfgs map[*cast.FuncDef]*cfg.Graph
 	// seg caches the file's function segmentation for finding identity;
 	// built on the first check-rule match, invalidated with the parse.

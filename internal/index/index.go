@@ -30,13 +30,14 @@ import (
 	"repro/internal/smpl"
 )
 
-// tri is the three-valued truth of "this rule fires on this file".
-type tri uint8
+// Tri is the three-valued truth of "this rule fires on this file" (or, for
+// the SmPL linter, "on some file").
+type Tri uint8
 
 const (
-	triNo tri = iota
-	triMaybe
-	triYes
+	TriNo Tri = iota
+	TriMaybe
+	TriYes
 )
 
 // ruleInfo is the per-rule slice of the index.
@@ -209,17 +210,17 @@ type Filter struct {
 	// base holds the pre-run truth per name: defined virtuals are yes,
 	// declared-but-undefined virtuals are no (absent names default to no
 	// at evaluation time, exactly like the engine's Matched map).
-	base map[string]tri
+	base map[string]Tri
 }
 
 // ForDefines specializes the index to a define set.
 func (ix *Index) ForDefines(defines []string) *Filter {
-	f := &Filter{ix: ix, base: map[string]tri{}}
+	f := &Filter{ix: ix, base: map[string]Tri{}}
 	for v := range ix.virtuals {
-		f.base[v] = triNo
+		f.base[v] = TriNo
 	}
 	for _, d := range defines {
-		f.base[d] = triYes
+		f.base[d] = TriYes
 	}
 	return f
 }
@@ -229,17 +230,17 @@ func (ix *Index) ForDefines(defines []string) *Filter {
 // matches, so the caller may skip parsing entirely and report the input
 // unchanged.
 func (f *Filter) MayMatch(src string) bool {
-	present := make(map[string]tri, 8)
+	present := make(map[string]Tri, 8)
 	return f.mayMatch(func(w string) bool {
 		if v, ok := present[w]; ok {
-			return v == triYes
+			return v == TriYes
 		}
-		v := triNo
+		v := TriNo
 		if ContainsWord(src, w) {
-			v = triYes
+			v = TriYes
 		}
 		present[w] = v
-		return v == triYes
+		return v == TriYes
 	})
 }
 
@@ -259,7 +260,7 @@ func (f *Filter) mayMatch(has func(string) bool) bool {
 	// fired accumulates per-name truth in rule order, mirroring how
 	// Engine.Run's Matched map evolves: dependencies see the state the
 	// preceding rules left behind.
-	fired := make(map[string]tri, len(f.base)+len(f.ix.rules))
+	fired := make(map[string]Tri, len(f.base)+len(f.ix.rules))
 	for k, v := range f.base {
 		fired[k] = v
 	}
@@ -269,39 +270,39 @@ func (f *Filter) mayMatch(has func(string) bool) bool {
 	any := false
 
 	for _, r := range f.ix.rules {
-		var v tri
+		var v Tri
 		switch r.kind {
 		case smpl.FinalizeRule:
 			// Finalizers run unconditionally (their dependency is not
 			// consulted), so a patch with one can never skip a file.
-			v = triMaybe
+			v = TriMaybe
 		case smpl.InitializeRule:
 			// Initialize bodies don't touch the result, but they execute
 			// whenever their dependency holds — and execution can fail,
 			// which surfaces as the file's error. Be conservative.
-			if evalDep(r.depends, fired) != triNo {
-				v = triMaybe
+			if EvalDep(r.depends, fired) != TriNo {
+				v = TriMaybe
 			}
 		case smpl.ScriptRule:
-			if evalDep(r.depends, fired) != triNo {
-				v = triMaybe
+			if EvalDep(r.depends, fired) != TriNo {
+				v = TriMaybe
 				// Every input must be bindable; one unfirable source rule
 				// means the body never runs for any environment.
 				for _, in := range r.inputRules {
-					if fired[in] == triNo {
-						v = triNo
+					if fired[in] == TriNo {
+						v = TriNo
 						break
 					}
 				}
 			}
 		case smpl.MatchRule:
-			if evalDep(r.depends, fired) != triNo {
-				v = triMaybe
+			if EvalDep(r.depends, fired) != TriNo {
+				v = TriMaybe
 				if !insertedUnknown && !r.present(hasOrInserted) {
-					v = triNo
+					v = TriNo
 				}
 			}
-			if v != triNo {
+			if v != TriNo {
 				for _, w := range r.plusAtoms {
 					inserted[w] = true
 				}
@@ -315,33 +316,33 @@ func (f *Filter) mayMatch(has func(string) bool) bool {
 		if (r.kind == smpl.MatchRule || r.kind == smpl.ScriptRule) && v > fired[r.name] {
 			fired[r.name] = v
 		}
-		if v != triNo {
+		if v != TriNo {
 			any = true
 		}
 	}
 	return any
 }
 
-// evalDep evaluates a dependency expression in three-valued logic over the
+// EvalDep evaluates a dependency expression in three-valued logic over the
 // per-name truth accumulated so far. Names absent from fired are no, like
 // names absent from the engine's Matched map.
-func evalDep(d *smpl.DepExpr, fired map[string]tri) tri {
+func EvalDep(d *smpl.DepExpr, fired map[string]Tri) Tri {
 	if d == nil {
-		return triYes
+		return TriYes
 	}
 	if len(d.And) > 0 {
-		v := triYes
+		v := TriYes
 		for _, c := range d.And {
-			if cv := evalDep(c, fired); cv < v {
+			if cv := EvalDep(c, fired); cv < v {
 				v = cv
 			}
 		}
 		return v
 	}
 	if len(d.Or) > 0 {
-		v := triNo
+		v := TriNo
 		for _, c := range d.Or {
-			if cv := evalDep(c, fired); cv > v {
+			if cv := EvalDep(c, fired); cv > v {
 				v = cv
 			}
 		}
@@ -349,7 +350,7 @@ func evalDep(d *smpl.DepExpr, fired map[string]tri) tri {
 	}
 	v := fired[d.Name]
 	if d.Not {
-		return triYes - v
+		return TriYes - v
 	}
 	return v
 }

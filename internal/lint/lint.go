@@ -157,15 +157,6 @@ func checkMetavars(p *smpl.Patch) []Issue {
 	return issues
 }
 
-// tri mirrors the prefilter's three-valued truth for reachability.
-type tri uint8
-
-const (
-	triNo tri = iota
-	triMaybe
-	triYes
-)
-
 // checkReachability walks the rules in engine order, tracking whether each
 // could possibly fire. Virtuals are maybe (the caller picks the defines); a
 // dependency on a name no earlier match or script rule carries is no, as in
@@ -173,28 +164,28 @@ const (
 // never run — and stays no for everything downstream, so one typo surfaces
 // the whole dead chain.
 func checkReachability(p *smpl.Patch) []Issue {
-	fired := map[string]tri{}
+	fired := map[string]index.Tri{}
 	for _, v := range p.Virtuals {
-		fired[v] = triMaybe
+		fired[v] = index.TriMaybe
 	}
 	var issues []Issue
 	for _, r := range p.Rules {
 		if r.Kind != smpl.MatchRule && r.Kind != smpl.ScriptRule {
 			continue
 		}
-		v := evalDep(r.Depends, fired)
-		if v != triNo && r.Kind == smpl.ScriptRule {
+		v := index.EvalDep(r.Depends, fired)
+		if v != index.TriNo && r.Kind == smpl.ScriptRule {
 			// A script rule additionally needs every input binding's source
 			// rule to have possibly fired.
 			for _, in := range r.Inputs {
-				if fired[in.Rule] == triNo {
-					v = triNo
+				if fired[in.Rule] == index.TriNo {
+					v = index.TriNo
 					issues = append(issues, Issue{Patch: p.Name, Rule: r.Name, Code: CodeUnreachableRule,
 						Msg: fmt.Sprintf("input %s << %s.%s reads a rule that can never fire", in.Local, in.Rule, in.Remote)})
 					break
 				}
 			}
-		} else if v == triNo {
+		} else if v == index.TriNo {
 			issues = append(issues, Issue{Patch: p.Name, Rule: r.Name, Code: CodeUnreachableRule,
 				Msg: "its depends-on expression can never hold (it names no reachable earlier rule or defined virtual)"})
 		}
@@ -203,37 +194,6 @@ func checkReachability(p *smpl.Patch) []Issue {
 		}
 	}
 	return issues
-}
-
-// evalDep is three-valued dependency evaluation; names absent from fired
-// are no, exactly like the engine's Matched map.
-func evalDep(d *smpl.DepExpr, fired map[string]tri) tri {
-	if d == nil {
-		return triYes
-	}
-	if len(d.And) > 0 {
-		v := triYes
-		for _, c := range d.And {
-			if cv := evalDep(c, fired); cv < v {
-				v = cv
-			}
-		}
-		return v
-	}
-	if len(d.Or) > 0 {
-		v := triNo
-		for _, c := range d.Or {
-			if cv := evalDep(c, fired); cv > v {
-				v = cv
-			}
-		}
-		return v
-	}
-	v := fired[d.Name]
-	if d.Not {
-		return triYes - v
-	}
-	return v
 }
 
 // branchTok is one normalized branch token for shadow comparison: either a

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/cast"
 	"repro/internal/cfg"
-	"repro/internal/ctl"
 	"repro/internal/smpl"
 )
 
@@ -17,8 +16,8 @@ import (
 // segment becomes a path search across if/else arms, switch cases, and
 // loop back-edges, with the `when` constraint family checked on every
 // traversed node. `when strict`/`when forall` segments are additionally
-// verified with the CTL model checker (A[ok U anchor] over the graph), so
-// the quantified semantics match Coccinelle's CTL-VW formulation.
+// verified with the CTL fixpoint A[ok U anchor] over the graph (allUntil),
+// so the quantified semantics match Coccinelle's CTL-VW formulation.
 //
 // On straight-line code the engine enumerates exactly the matches of the
 // syntactic sequence matcher, in the same order and with byte-identical
@@ -330,22 +329,58 @@ func (p *pathCtx) nodeAllowed(d *cast.Dots, n *cfg.Node) bool {
 	return p.c.whenAllows(d, subs, n.AST)
 }
 
-// allPathsReach decides the `when strict`/`when forall` obligation with
-// the CTL model checker: A[allowed U cand] must hold at every gap entry —
-// every path from where the dots begin reaches the candidate anchor, and
-// until then traverses only nodes the constraints allow.
+// allPathsReach decides the `when strict`/`when forall` obligation:
+// A[allowed U cand] must hold at every gap entry — every path from where
+// the dots begin reaches the candidate anchor, and until then traverses
+// only nodes the constraints allow.
 func (p *pathCtx) allPathsReach(d *cast.Dots, entry []int, cand int) bool {
-	ok := ctl.Pred{Name: "allowed", Fn: func(n *cfg.Node) bool {
-		return n.ID == cand || p.nodeAllowed(d, n)
-	}}
-	at := ctl.Pred{Name: "anchor", Fn: func(n *cfg.Node) bool { return n.ID == cand }}
-	res := ctl.Check(p.g, ctl.AU{L: ok, R: at})
+	holds := allUntil(p.g,
+		func(n *cfg.Node) bool { return p.nodeAllowed(d, n) },
+		func(n *cfg.Node) bool { return n.ID == cand })
 	for _, e := range entry {
-		if !res.Holds(e) {
+		if !holds[e] {
 			return false
 		}
 	}
 	return true
+}
+
+// allUntil evaluates the CTL formula A[allowed U anchor] on every node of
+// g: the least fixpoint Z = anchor ∨ (allowed ∧ AX Z ∧ a successor exists).
+// It runs backward from the anchors by successor count-down: an allowed
+// node joins the set when the last of its successors has joined. A node in
+// the set therefore reaches an anchor on every path, through allowed nodes
+// only; a cycle that can avoid the anchors never joins (its nodes' counts
+// never reach zero), and neither does a path that ends first.
+func allUntil(g *cfg.Graph, allowed, anchor func(*cfg.Node) bool) []bool {
+	holds := make([]bool, len(g.Nodes))
+	ok := make([]bool, len(g.Nodes))
+	remaining := make([]int, len(g.Nodes))
+	var work []int
+	for i, n := range g.Nodes {
+		if anchor(n) {
+			holds[i] = true
+			work = append(work, i)
+			continue
+		}
+		ok[i] = allowed(n)
+		remaining[i] = len(n.Succs)
+	}
+	for len(work) > 0 {
+		id := work[len(work)-1]
+		work = work[:len(work)-1]
+		for _, pr := range g.Nodes[id].Preds {
+			if holds[pr] || !ok[pr] {
+				continue
+			}
+			remaining[pr]--
+			if remaining[pr] == 0 {
+				holds[pr] = true
+				work = append(work, pr)
+			}
+		}
+	}
+	return holds
 }
 
 // recordGap records the correspondence between the dots pattern tokens and

@@ -1,6 +1,7 @@
 package match
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/cast"
@@ -281,6 +282,86 @@ func TestCFGWhenStrictForall(t *testing.T) {
 	m, _ = compile(t, "@r@\n@@\nbegin();\n...\nend();\n", escape)
 	if n := len(withCFG(m).FindAll()); n != 1 {
 		t.Fatalf("exists early-return: matches=%d want 1", n)
+	}
+}
+
+// auGraph parses src and builds the CFG of its one function; stmtIs
+// matches the Stmt node whose text contains sub (a Branch node's AST spans
+// the whole conditional, so it never matches) and stmtID returns its id.
+func auGraph(t *testing.T, src string) (*cast.File, *cfg.Graph) {
+	t.Helper()
+	f, err := cparse.Parse("t.c", src, cparse.Options{})
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	return f, cfg.Build(f.Funcs()[0])
+}
+
+func stmtIs(f *cast.File, sub string) func(*cfg.Node) bool {
+	return func(n *cfg.Node) bool {
+		return n.Kind == cfg.Stmt && n.AST != nil && strings.Contains(f.Text(n.AST), sub)
+	}
+}
+
+func stmtID(f *cast.File, g *cfg.Graph, sub string) int {
+	for _, n := range g.Nodes {
+		if stmtIs(f, sub)(n) {
+			return n.ID
+		}
+	}
+	return -1
+}
+
+func anyNode(*cfg.Node) bool { return true }
+
+// A[true U b]: every path reaches b. A statement on one arm only is not
+// reached on all paths; the join after the conditional is.
+func TestAllUntilBranch(t *testing.T) {
+	f, g := auGraph(t, "void f(int x){ if (x) b(); c(); }")
+	if allUntil(g, anyNode, stmtIs(f, "b()"))[g.EntryID] {
+		t.Error("A[true U b] must fail at entry: the else path avoids b")
+	}
+	if !allUntil(g, anyNode, stmtIs(f, "c()"))[g.EntryID] {
+		t.Error("A[true U c] should hold at entry")
+	}
+}
+
+// The cycle head->body->head is an infinite path that never reaches
+// after(), so A[true U after] must not hold at entry — the reason
+// `when strict` rejects a gap that a loop may never leave.
+func TestAllUntilLoop(t *testing.T) {
+	f, g := auGraph(t, "void f(int n){ while (n) { n--; } after(); }")
+	if allUntil(g, anyNode, stmtIs(f, "after()"))[g.EntryID] {
+		t.Error("A[true U after] must fail at entry: the loop may spin forever")
+	}
+	if !allUntil(g, anyNode, stmtIs(f, "after()"))[stmtID(f, g, "after()")] {
+		t.Error("A[true U after] should hold at after() itself")
+	}
+}
+
+// A path through a node the constraint forbids fails the obligation even
+// though it reaches the anchor afterwards.
+func TestAllUntilForbiddenNode(t *testing.T) {
+	f, g := auGraph(t, "void f(int x){ lock(); if (x) { use(); } unlock(); }")
+	notUse := func(n *cfg.Node) bool { return !stmtIs(f, "use()")(n) }
+	if allUntil(g, notUse, stmtIs(f, "unlock()"))[stmtID(f, g, "lock()")] {
+		t.Error("A[!use U unlock] must fail at lock(): the then-branch sees use() first")
+	}
+	if !allUntil(g, anyNode, stmtIs(f, "unlock()"))[stmtID(f, g, "lock()")] {
+		t.Error("A[true U unlock] should hold at lock()")
+	}
+}
+
+// A path that ends (returns) before the anchor fails the obligation; the
+// exit node is reached on every path.
+func TestAllUntilEarlyReturn(t *testing.T) {
+	f, g := auGraph(t, "void f(int x){ a(); if (x) return; b(); }")
+	aID := stmtID(f, g, "a()")
+	if allUntil(g, anyNode, stmtIs(f, "b()"))[aID] {
+		t.Error("A[true U b] must fail at a(): the return path avoids b()")
+	}
+	if !allUntil(g, anyNode, func(n *cfg.Node) bool { return n.Kind == cfg.Exit })[aID] {
+		t.Error("A[true U exit] should hold at a(): all paths reach exit")
 	}
 }
 

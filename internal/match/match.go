@@ -541,10 +541,3 @@ func sortStrings(s []string) {
 		}
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -35,15 +35,6 @@ import (
 	"repro/internal/smpl"
 )
 
-// srcExts are the file suffixes a session considers corpus sources, the
-// same set gocci -r collects.
-var srcExts = map[string]bool{
-	".c": true, ".h": true,
-	".cc": true, ".cpp": true, ".cxx": true,
-	".hh": true, ".hpp": true, ".hxx": true,
-	".cu": true, ".cuh": true,
-}
-
 // collectSources walks root gathering C/C++/CUDA files in sorted path
 // order (skipping .git), so sweep order is reproducible run to run.
 func collectSources(root string) ([]string, error) {
@@ -69,7 +60,7 @@ func collectSources(root string) ([]string, error) {
 			}
 			return nil
 		}
-		if srcExts[filepath.Ext(path)] {
+		if batch.IsSource(path) {
 			out = append(out, path)
 		}
 		return nil

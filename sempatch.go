@@ -43,7 +43,7 @@ type Finding = analysis.Finding
 
 // Diff renders the unified diff between two versions of a file with the
 // conventional a/ and b/ name prefixes — the same rendering Result.Diffs
-// and FileResult.Diff carry, for callers composing multiple runs (e.g. a
+// and CampaignFileResult.Diff carry, for callers composing multiple runs (e.g. a
 // net diff across sequentially applied patches).
 func Diff(name, before, after string) string {
 	return diff.Unified("a/"+name, "b/"+name, before, after)
@@ -63,36 +63,30 @@ type Options struct {
 	// Defines enables virtual dependency names declared in the patch
 	// (`virtual fix_gcc;` + `@r depends on fix_gcc@`), like spatch -D.
 	Defines []string
-	// Workers is the pool size for BatchApplier; <= 0 means GOMAXPROCS.
+	// Workers is the pool size for Campaign runs; <= 0 means GOMAXPROCS.
 	// Ignored by the single-threaded Applier.
 	Workers int
-	// NoPrefilter disables the BatchApplier's required-atom prefilter, so
+	// NoPrefilter disables the Campaign's required-atom prefilter, so
 	// every file is parsed and matched even when it provably cannot be
 	// touched by the patch. Outputs are identical either way; disable the
 	// filter to surface parse errors in files the patch cannot match, or
 	// to measure its effect. Ignored by the single-threaded Applier.
 	NoPrefilter bool
 	// CacheDir, when non-empty, enables the persistent corpus index rooted
-	// at that directory for BatchApplier and Campaign runs: file scans and
-	// per-file results are cached by content hash, so re-running a patch
-	// over an unchanged corpus skips scanning, parsing, and matching.
+	// at that directory for Campaign runs: file scans and per-file results
+	// are cached by content hash, so re-running a patch over an unchanged
+	// corpus skips scanning, parsing, and matching.
 	// Outputs are byte-identical with the cache cold, warm, or disabled;
 	// invalidation is automatic — editing a file, the patch text, or any
 	// result-affecting option changes the key. Ignored by the
 	// single-threaded Applier. See docs/batch.md for the on-disk format.
 	CacheDir string
-	// NoFuncCache disables function-granular processing for BatchApplier and
-	// Campaign runs: eligible single-rule patches then match whole files
-	// instead of per-function segments. Outputs are byte-identical either
-	// way; disable it to measure the incremental pipeline's effect or to
-	// force file-level matching. Ignored by the single-threaded Applier.
-	NoFuncCache bool
 	// Verify runs the post-transform safety checker on every file a
-	// BatchApplier or Campaign run changed: capture-avoidance and def-use
-	// checks for rewritten identifiers, pragma round-trip checks for
-	// directive translations, and an output re-parse. An unsafe finding
-	// demotes the edit — the file's output reverts to its input and the
-	// findings ride the result as Warnings. Verify mode keys the result
+	// Campaign run changed: capture-avoidance and def-use checks for
+	// rewritten identifiers, pragma round-trip checks for directive
+	// translations, and an output re-parse. An unsafe finding demotes the
+	// edit — the file's output reverts to its input and the findings ride
+	// the result as Warnings. Verify mode keys the result
 	// cache, so verified and unverified runs never share cached outcomes.
 	// Ignored by the single-threaded Applier. See docs/hpc.md.
 	Verify bool
@@ -134,7 +128,7 @@ func (o Options) internal() core.Options {
 func (o Options) batch() batch.Options {
 	return batch.Options{
 		Engine: o.internal(), Workers: o.Workers,
-		NoPrefilter: o.NoPrefilter, CacheDir: o.CacheDir, NoFuncCache: o.NoFuncCache,
+		NoPrefilter: o.NoPrefilter, CacheDir: o.CacheDir,
 		Verify: o.Verify, Tracer: o.Tracer,
 	}
 }
@@ -325,113 +319,7 @@ func Apply(patchName, patchText string, opts Options, files ...File) (*Result, e
 	return NewApplier(p, opts).Apply(files...)
 }
 
-// FileResult is one file's outcome in a batch run.
-type FileResult struct {
-	// Name is the input file name.
-	Name string
-	// Output is the (possibly transformed) source; empty when Err is set.
-	Output string
-	// Diff is the unified diff; empty when the file is unchanged.
-	Diff string
-	// MatchCount counts matches per rule in this file.
-	MatchCount map[string]int
-	// Skipped reports that the required-atom prefilter proved no rule
-	// could fire on this file, so it was never parsed; Output equals the
-	// input and Diff is empty, exactly as a full run would have produced.
-	Skipped bool
-	// Cached reports that the whole result — output, diff, match counts —
-	// was replayed from the persistent result cache (Options.CacheDir)
-	// without scanning, parsing, or matching the file this run. Cached and
-	// Skipped are mutually exclusive.
-	Cached bool
-	// EnvsTruncated reports that this file's run hit Options.MaxEnvs and
-	// dropped matches (see Result.EnvsTruncated).
-	EnvsTruncated bool
-	// FuncsMatched and FuncsCached count this file's function segments
-	// matched fresh vs replayed from the function-granular cache; both 0
-	// when the patch or file took the file-level path.
-	FuncsMatched int
-	FuncsCached  int
-	// Warnings are the post-transform verifier's findings for this file
-	// (only ever set under Options.Verify).
-	Warnings []Warning
-	// Demoted reports that an unsafe finding reverted the edit: MatchCount
-	// still records what matched, but Output equals the input and Diff is
-	// empty.
-	Demoted bool
-	// Findings are the check-rule reports for this file.
-	Findings []Finding
-	// Parsed reports that this run actually parsed the file (false for
-	// prefilter skips and cache replays).
-	Parsed bool
-	// Err is this file's failure; other files in the batch still complete.
-	Err error
-}
-
-// Changed reports whether the patch modified the file.
-func (r FileResult) Changed() bool { return r.Diff != "" }
-
-// BatchStats aggregates a completed batch run.
-type BatchStats struct {
-	Files   int // files processed
-	Matched int // files where at least one rule matched
-	Changed int // files whose output differs from the input
-	Errors  int // files that failed (parse or script error)
-	Matches int // total rule matches across all files
-	Skipped int // files the prefilter rejected without parsing
-	Cached  int // files replayed from the persistent result cache
-	// FuncsMatched and FuncsCached total the function-granular counters:
-	// function segments matched fresh vs replayed across all files.
-	FuncsMatched int
-	FuncsCached  int
-	// Demoted counts files whose edit the verifier reverted; Warnings
-	// totals the verifier findings across all files (Options.Verify).
-	Demoted  int
-	Warnings int
-	// Findings totals the check-rule reports across all files.
-	Findings int
-	// Parsed counts files this run actually parsed (vs skipped/replayed).
-	Parsed int
-}
-
-// BatchApplier applies one patch across many files concurrently with a
-// worker pool of Options.Workers engines. The patch is compiled once and
-// shared; each file is patched independently (environments do not flow
-// between files), and results stream back in input order regardless of
-// which worker finishes first, so output is deterministic for any worker
-// count. It is a one-member Campaign viewed through single-patch result
-// types. See docs/batch.md.
-type BatchApplier struct {
-	c *Campaign
-}
-
-// NewBatchApplier compiles the patch for concurrent application.
-func NewBatchApplier(p *Patch, opts Options) *BatchApplier {
-	return &BatchApplier{c: NewCampaign([]*Patch{p}, opts)}
-}
-
-// RegisterScript installs a Go handler for the named script rule on every
-// worker. Call before ApplyAll; the handler runs concurrently and must be
-// safe for that. Registering any Go handler disables the persistent result
-// cache for this applier (the handler's behaviour is not captured by the
-// patch hash the cache keys on); the scan cache stays active.
-func (b *BatchApplier) RegisterScript(rule string, fn ScriptFunc) *BatchApplier {
-	b.c.RegisterScript(rule, fn)
-	return b
-}
-
-// RegisterScriptVersioned is RegisterScript for handlers that declare a
-// version string covering everything their behaviour depends on (code
-// revision, embedded tables, modes). The version joins the result-cache
-// fingerprint, so the persistent result cache stays enabled: bumping the
-// version invalidates every cached outcome the handler helped produce.
-func (b *BatchApplier) RegisterScriptVersioned(rule, version string, fn ScriptFunc) *BatchApplier {
-	b.c.RegisterScriptVersioned(rule, version, fn)
-	return b
-}
-
-// CacheStatus reports the persistent cache's state for an applier or
-// campaign: whether one is open, where, whether Open had to wipe and
+// CacheStatus reports a campaign's persistent cache state: whether one is open, where, whether Open had to wipe and
 // rebuild an incompatible cache, and how many corrupt entries were dropped
 // (and transparently re-derived) so far. Front ends surface the last two so
 // cache trouble is never silent.
@@ -449,9 +337,6 @@ type CacheStatus struct {
 	CorruptEntries int64
 }
 
-// CacheStatus reports the state of this applier's persistent cache.
-func (b *BatchApplier) CacheStatus() CacheStatus { return b.c.CacheStatus() }
-
 func cacheStatus(c *cache.Cache) CacheStatus {
 	if c == nil {
 		return CacheStatus{}
@@ -460,93 +345,6 @@ func cacheStatus(c *cache.Cache) CacheStatus {
 		Enabled: true, Dir: c.Dir(),
 		Rebuilt: c.Rebuilt(), CorruptEntries: c.CorruptEntries(),
 	}
-}
-
-// ApplyAll streams one FileResult per input file, in input order. Breaking
-// out of the loop stops the batch early; memory stays bounded by the worker
-// window, not the corpus size. A configuration error (e.g. an
-// Options.Defines name not declared virtual in the patch) is delivered
-// once, as a single FileResult with an empty Name, instead of once per
-// file; ApplyAllFunc returns it as the run error.
-func (b *BatchApplier) ApplyAll(files []File) iter.Seq[FileResult] {
-	return soleResults(b.c.ApplyAll(files))
-}
-
-// ApplyAllPaths is ApplyAll over on-disk files: each worker reads its file
-// from disk just before patching, so only the in-flight window of the
-// corpus is ever resident in memory. Unreadable files report the error in
-// their FileResult like any other per-file failure.
-func (b *BatchApplier) ApplyAllPaths(paths []string) iter.Seq[FileResult] {
-	return soleResults(b.c.ApplyAllPaths(paths))
-}
-
-// ApplyAllFunc is the callback form of ApplyAll: fn runs once per file in
-// input order, and the aggregate statistics are returned. A non-nil error
-// from fn stops the batch and is returned; per-file failures only count in
-// BatchStats.Errors.
-func (b *BatchApplier) ApplyAllFunc(files []File, fn func(FileResult) error) (BatchStats, error) {
-	st, err := b.c.ApplyAllFunc(files, soleCallback(fn))
-	return soleStats(st), err
-}
-
-// ApplyAllPathsFunc is the callback form of ApplyAllPaths.
-func (b *BatchApplier) ApplyAllPathsFunc(paths []string, fn func(FileResult) error) (BatchStats, error) {
-	st, err := b.c.ApplyAllPathsFunc(paths, soleCallback(fn))
-	return soleStats(st), err
-}
-
-// soleResult views a one-member campaign's file result as a FileResult: the
-// file-level fields plus the member's outcome (absent on a per-file error).
-func soleResult(fr CampaignFileResult) FileResult {
-	out := FileResult{Name: fr.Name, Output: fr.Output, Diff: fr.Diff, Parsed: fr.Parsed, Err: fr.Err}
-	if len(fr.Patches) == 1 {
-		o := fr.Patches[0]
-		out.MatchCount = o.MatchCount
-		out.Skipped = o.Skipped
-		out.Cached = o.Cached
-		out.EnvsTruncated = o.EnvsTruncated
-		out.FuncsMatched = o.FuncsMatched
-		out.FuncsCached = o.FuncsCached
-		out.Warnings = o.Warnings
-		out.Demoted = o.Demoted
-		out.Findings = o.Findings
-	}
-	return out
-}
-
-// soleStats views a one-member campaign's statistics as BatchStats.
-func soleStats(st CampaignStats) BatchStats {
-	out := BatchStats{Files: st.Files, Changed: st.Changed, Errors: st.Errors, Parsed: st.Parsed}
-	if len(st.PerPatch) == 1 { // empty when a configuration error aborted the run
-		ps := st.PerPatch[0]
-		out.Matched = ps.Matched
-		out.Matches = ps.Matches
-		out.Skipped = ps.Skipped
-		out.Cached = ps.Cached
-		out.FuncsMatched = ps.FuncsMatched
-		out.FuncsCached = ps.FuncsCached
-		out.Demoted = ps.Demoted
-		out.Warnings = ps.Warnings
-		out.Findings = ps.Findings
-	}
-	return out
-}
-
-func soleResults(seq iter.Seq[CampaignFileResult]) iter.Seq[FileResult] {
-	return func(yield func(FileResult) bool) {
-		for fr := range seq {
-			if !yield(soleResult(fr)) {
-				return
-			}
-		}
-	}
-}
-
-func soleCallback(fn func(FileResult) error) func(CampaignFileResult) error {
-	if fn == nil {
-		return nil
-	}
-	return func(fr CampaignFileResult) error { return fn(soleResult(fr)) }
 }
 
 // PatchOutcome is one campaign member's effect on one file.
@@ -649,10 +447,15 @@ type CampaignStats struct {
 // sequential composition per file: patch i+1 sees each file as patch i
 // left it, exactly as if the patches had been applied by separate runs in
 // order, but each file is parsed at most once and the tree is shared by
-// every patch until one actually changes the file. Files are independent,
-// so the worker pool, deterministic ordering, and memory bounds of
-// BatchApplier carry over; with Options.CacheDir set, per-patch per-file
-// results replay from the persistent cache. See docs/batch.md.
+// every patch until one actually changes the file. Files are independent:
+// a pool of Options.Workers engines per member patch patches them
+// concurrently (environments do not flow between files), and results
+// stream back in input order whichever worker finishes first, so output is
+// deterministic for any worker count. A single-patch batch run is a
+// campaign of one: NewCampaign([]*Patch{p}, opts), whose outcome is
+// CampaignFileResult.Patches[0] and CampaignStats.PerPatch[0]. With
+// Options.CacheDir set, per-patch per-file results replay from the
+// persistent cache. See docs/batch.md.
 type Campaign struct {
 	c       *batch.Campaign
 	patches []*Patch
@@ -674,17 +477,21 @@ func (c *Campaign) Patches() []*Patch { return c.patches }
 
 // RegisterScript installs a Go handler for the named script rule on every
 // worker engine of every member patch. Call before ApplyAll; the handler
-// runs concurrently and must be safe for that. Like
-// BatchApplier.RegisterScript, registering any Go handler disables the
-// persistent result cache.
+// runs concurrently and must be safe for that. Registering any Go handler
+// disables the persistent result cache for this campaign (the handler's
+// behaviour is not captured by the patch hash the cache keys on); the scan
+// cache stays active.
 func (c *Campaign) RegisterScript(rule string, fn ScriptFunc) *Campaign {
 	c.c.RegisterScript(rule, core.ScriptFunc(fn))
 	return c
 }
 
 // RegisterScriptVersioned is RegisterScript for handlers that declare a
-// version; the version joins every member's result-cache key, keeping the
-// persistent result cache enabled (see BatchApplier.RegisterScriptVersioned).
+// version string covering everything their behaviour depends on (code
+// revision, embedded tables, modes). The version joins every member's
+// result-cache fingerprint, so the persistent result cache stays enabled:
+// bumping the version invalidates every cached outcome the handler helped
+// produce.
 func (c *Campaign) RegisterScriptVersioned(rule, version string, fn ScriptFunc) *Campaign {
 	c.c.RegisterScriptVersioned(rule, version, core.ScriptFunc(fn))
 	return c
@@ -693,9 +500,12 @@ func (c *Campaign) RegisterScriptVersioned(rule, version string, fn ScriptFunc) 
 // CacheStatus reports the state of this campaign's persistent cache.
 func (c *Campaign) CacheStatus() CacheStatus { return cacheStatus(c.c.Cache()) }
 
-// ApplyAll streams one CampaignFileResult per input file, in input order;
-// breaking out of the loop stops the sweep early. A configuration error is
-// delivered once as a single result with an empty Name.
+// ApplyAll streams one CampaignFileResult per input file, in input order.
+// Breaking out of the loop stops the sweep early; memory stays bounded by
+// the worker window, not the corpus size. A configuration error (e.g. an
+// Options.Defines name no member declares virtual) is delivered once, as a
+// single result with an empty Name, instead of once per file;
+// ApplyAllFunc returns it as the run error.
 func (c *Campaign) ApplyAll(files []File) iter.Seq[CampaignFileResult] {
 	return func(yield func(CampaignFileResult) bool) {
 		c.c.Run(toSource(files), func(fr batch.CampaignFileResult) bool {
@@ -704,8 +514,10 @@ func (c *Campaign) ApplyAll(files []File) iter.Seq[CampaignFileResult] {
 	}
 }
 
-// ApplyAllPaths is ApplyAll over on-disk files, read lazily inside the
-// worker pool.
+// ApplyAllPaths is ApplyAll over on-disk files: each worker reads its file
+// from disk just before patching, so only the in-flight window of the
+// corpus is ever resident in memory. Unreadable files report the error in
+// their result like any other per-file failure.
 func (c *Campaign) ApplyAllPaths(paths []string) iter.Seq[CampaignFileResult] {
 	return func(yield func(CampaignFileResult) bool) {
 		c.c.RunPaths(paths, func(fr batch.CampaignFileResult) bool {
@@ -714,8 +526,10 @@ func (c *Campaign) ApplyAllPaths(paths []string) iter.Seq[CampaignFileResult] {
 	}
 }
 
-// ApplyAllFunc is the callback form of ApplyAll with aggregate and
-// per-patch statistics; a non-nil error from fn stops the sweep.
+// ApplyAllFunc is the callback form of ApplyAll: fn (which may be nil)
+// runs once per file in input order, and the aggregate and per-patch
+// statistics are returned. A non-nil error from fn stops the sweep and is
+// returned; per-file failures only count in CampaignStats.Errors.
 func (c *Campaign) ApplyAllFunc(files []File, fn func(CampaignFileResult) error) (CampaignStats, error) {
 	st, err := c.c.Collect(toSource(files), wrapCampaignCallback(fn))
 	return publicCampaignStats(st), err

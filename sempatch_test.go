@@ -143,9 +143,9 @@ func TestOptionsPropagate(t *testing.T) {
 	}
 }
 
-// A BatchApplier is a one-member campaign, so a file whose parse fails
-// counts as parsed — in its FileResult and in BatchStats — exactly as a
-// campaign counts it; the prefilter-skipped file does not.
+// A file whose parse fails counts as parsed — in its CampaignFileResult and
+// in CampaignStats — as a single-patch run; the prefilter-skipped file does
+// not.
 func TestBatchParseFailureCountsParsed(t *testing.T) {
 	p, err := ParsePatch("r.cocci", renamePatch)
 	if err != nil {
@@ -157,7 +157,7 @@ func TestBatchParseFailureCountsParsed(t *testing.T) {
 		{Name: "other.c", Src: "void h(void){ baz(); }\n"},
 	}
 	var parsed []bool
-	st, err := NewBatchApplier(p, Options{Workers: 2}).ApplyAllFunc(files, func(fr FileResult) error {
+	st, err := NewCampaign([]*Patch{p}, Options{Workers: 2}).ApplyAllFunc(files, func(fr CampaignFileResult) error {
 		parsed = append(parsed, fr.Parsed)
 		return nil
 	})
@@ -165,9 +165,9 @@ func TestBatchParseFailureCountsParsed(t *testing.T) {
 		t.Fatal(err)
 	}
 	if want := []bool{true, true, false}; !slices.Equal(parsed, want) {
-		t.Errorf("FileResult.Parsed = %v, want %v", parsed, want)
+		t.Errorf("CampaignFileResult.Parsed = %v, want %v", parsed, want)
 	}
-	if st.Files != 3 || st.Errors != 1 || st.Parsed != 2 || st.Skipped != 1 || st.Changed != 1 {
+	if st.Files != 3 || st.Errors != 1 || st.Parsed != 2 || st.PerPatch[0].Skipped != 1 || st.Changed != 1 {
 		t.Errorf("stats = %+v, want 3 files, 1 error, 2 parsed, 1 skipped, 1 changed", st)
 	}
 }
@@ -193,7 +193,7 @@ func TestBatchWorkerCounts(t *testing.T) {
 	var want []string
 	for _, w := range []int{1, 4, runtime.NumCPU()} {
 		var outs []string
-		st, err := NewBatchApplier(p, Options{Workers: w}).ApplyAllFunc(files, func(fr FileResult) error {
+		st, err := NewCampaign([]*Patch{p}, Options{Workers: w}).ApplyAllFunc(files, func(fr CampaignFileResult) error {
 			outs = append(outs, fr.Output)
 			return nil
 		})

@@ -171,7 +171,7 @@ func TestServeParity(t *testing.T) {
 	if len(paths) != n {
 		t.Fatalf("corpus has %d files, want %d", len(paths), n)
 	}
-	_, err = NewBatchApplier(patch, Options{Workers: 1}).ApplyAllPathsFunc(paths, func(fr FileResult) error {
+	_, err = NewCampaign([]*Patch{patch}, Options{Workers: 1}).ApplyAllPathsFunc(paths, func(fr CampaignFileResult) error {
 		if fr.Err != nil {
 			return fr.Err
 		}

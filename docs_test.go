@@ -23,7 +23,11 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/batch"
+	"repro/internal/core"
 	"repro/internal/cparse"
+	"repro/internal/serve"
+	"repro/internal/verify"
 )
 
 // docFiles is the complete documentation set under test; TestDocsComplete
@@ -163,6 +167,22 @@ func TestRemovedNamesStayGone(t *testing.T) {
 	// for the differential tests); outputs never depend on it.
 	if _, ok := reflect.TypeOf(Options{}).FieldByName("NoFuncCache"); ok {
 		t.Error("Options.NoFuncCache is back on the public Options")
+	}
+	// The public result types are aliases of the engine's own, so a new
+	// outcome field needs no mirror struct and no field-by-field copy.
+	for _, c := range []struct {
+		name          string
+		public, inner any
+	}{
+		{"CampaignFileResult", CampaignFileResult{}, batch.CampaignFileResult{}},
+		{"PatchOutcome", PatchOutcome{}, batch.PatchOutcome{}},
+		{"Warning", Warning{}, verify.Warning{}},
+		{"Result", Result{}, core.Result{}},
+		{"ServeRunStats", ServeRunStats{}, serve.RunStats{}},
+	} {
+		if pt, it := reflect.TypeOf(c.public), reflect.TypeOf(c.inner); pt != it {
+			t.Errorf("%s is %v, want an alias of %v", c.name, pt, it)
+		}
 	}
 	files := append([]string(nil), docFiles...)
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {

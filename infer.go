@@ -6,16 +6,10 @@ import (
 )
 
 // InferPair is one before/after demonstration for patch inference: two
-// versions of a C/C++ source file. A pair may contain several changed
-// functions; each becomes one example, and verification always replays the
-// whole file.
-type InferPair struct {
-	// Name labels the pair in diagnostics.
-	Name string
-	// Before and After are the two full file sources.
-	Before string
-	After  string
-}
+// versions (Before and After) of a C/C++ source file, labelled by Name in
+// diagnostics. A pair may contain several changed functions; each becomes
+// one example, and verification always replays the whole file.
+type InferPair = infer.Pair
 
 // InferResult is a successfully inferred and verified patch.
 type InferResult struct {
@@ -36,27 +30,12 @@ type InferResult struct {
 	Notes []string
 }
 
-// InferError is a structured inference failure: the offending pair (and,
-// for cross-example irreconcilability, the second pair), the pipeline stage
-// that failed, and — when the failure is a subtree that could not be
-// generalized — that subtree's source text.
-type InferError struct {
-	// Pair is the offending pair or example name.
-	Pair string
-	// Other is the second example for irreconcilable divergences.
-	Other string
-	// Stage is the failing pipeline stage: "input", "parse", "align",
-	// "generalize", "compile", or "verify".
-	Stage string
-	// Subtree is the source text of the subtree that failed to generalize.
-	Subtree string
-	// Detail is the human-readable specifics.
-	Detail string
-
-	inner *infer.PairError
-}
-
-func (e *InferError) Error() string { return e.inner.Error() }
+// InferError is a structured inference failure: the offending Pair (and,
+// for cross-example irreconcilability, the Other pair), the failing Stage
+// ("input", "parse", "align", "generalize", "compile", or "verify"), the
+// human-readable Detail, and — when the failure is a subtree that could
+// not be generalized — that Subtree's source text.
+type InferError = infer.PairError
 
 // Infer derives one semantic patch from before/after example pairs and
 // verifies it in-process: the patch is compiled through the standard front
@@ -68,20 +47,12 @@ func (e *InferError) Error() string { return e.inner.Error() }
 // ruleName names the emitted rule ("" means "inferred"); opts selects the
 // dialect for both parsing the examples and the verification runs.
 func Infer(ruleName string, opts Options, pairs ...InferPair) (*InferResult, error) {
-	in := make([]infer.Pair, len(pairs))
-	for i, p := range pairs {
-		in[i] = infer.Pair{Name: p.Name, Before: p.Before, After: p.After}
-	}
-	res, err := infer.Infer(in, infer.Options{
+	res, err := infer.Infer(pairs, infer.Options{
 		RuleName: ruleName,
 		Parse:    inferParseOpts(opts),
 		Engine:   opts.internal(),
 	})
 	if err != nil {
-		if pe, ok := err.(*infer.PairError); ok {
-			return nil, &InferError{Pair: pe.Pair, Other: pe.Other, Stage: pe.Stage,
-				Subtree: pe.Subtree, Detail: pe.Detail, inner: pe}
-		}
 		return nil, err
 	}
 	return &InferResult{
@@ -106,7 +77,7 @@ func MinePairs(repoDir string, limit int, opts Options) ([]InferPair, error) {
 	}
 	out := make([]InferPair, len(mined))
 	for i, m := range mined {
-		out[i] = InferPair{Name: m.Name, Before: m.Before, After: m.After}
+		out[i] = m.Pair
 	}
 	return out, nil
 }

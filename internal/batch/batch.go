@@ -34,13 +34,10 @@ import (
 type Options struct {
 	// Engine is the per-file engine configuration (dialect, CTL, limits).
 	Engine core.Options
-	// Workers is the pool size; <= 0 means runtime.GOMAXPROCS(0).
+	// Workers is the pool size; <= 0 means runtime.GOMAXPROCS(0). At most
+	// twice that many files are in flight (dispatched but not yet
+	// delivered in order), which bounds the buffered results.
 	Workers int
-	// Window bounds the number of files that may be in flight (dispatched
-	// but not yet delivered in order); <= 0 means 2x the worker count.
-	// Larger windows tolerate more skew between fast and slow files at the
-	// cost of buffering more results.
-	Window int
 	// NoPrefilter disables the required-atom prefilter, forcing every file
 	// through the full parse-and-match pipeline. The filter only skips
 	// files no rule could possibly fire on, so outputs are identical either
@@ -99,7 +96,7 @@ func IsSource(path string) bool { return srcExts[filepath.Ext(path)] }
 
 // fingerprint canonicalizes every result-affecting engine option into the
 // result-cache key, so a cached outcome is only ever replayed under the
-// exact configuration that produced it. NoPrefilter and Workers/Window are
+// exact configuration that produced it. Workers and NoPrefilter are
 // excluded: they cannot change outputs.
 func fingerprint(o core.Options) string {
 	maxEnvs := o.MaxEnvs

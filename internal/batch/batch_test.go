@@ -201,9 +201,11 @@ func TestEarlyStop(t *testing.T) {
 	}
 }
 
+// TestBoundedWindow streams a corpus far larger than the in-flight window
+// (2x the workers) and checks that every file is delivered, in order.
 func TestBoundedWindow(t *testing.T) {
 	files := corpus(100)
-	r := single(parsePatch(t, renamePatch), Options{Workers: 4, Window: 4})
+	r := single(parsePatch(t, renamePatch), Options{Workers: 4})
 	count := 0
 	r.Run(files, func(fr CampaignFileResult) bool {
 		if fr.Index != count {

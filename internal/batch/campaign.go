@@ -330,15 +330,11 @@ func (c *Campaign) run(n int, tr *obs.Tracer, get func(int) *FileState, yield fu
 		workers = runtime.GOMAXPROCS(0)
 	}
 	workers = min(workers, n)
-	window := c.opts.Window
-	if window <= 0 {
-		window = 2 * workers
-	}
 	popts := cparse.Options{
 		CPlusPlus: c.opts.Engine.CPlusPlus, Std: c.opts.Engine.Std, CUDA: c.opts.Engine.CUDA,
 	}
 	var wid atomic.Int32
-	runPool(n, workers, window, func() (func(int) CampaignFileResult, func()) {
+	runPool(n, workers, func() (func(int) CampaignFileResult, func()) {
 		tk := tr.Track(fmt.Sprintf("worker-%d", wid.Add(1)))
 		engines := make([]*core.Engine, len(c.patches))
 		for i, cp := range c.patches {

@@ -31,28 +31,6 @@ import (
 	"repro/internal/transform"
 )
 
-// Package-level instrumentation, mirroring cparse.Parses: cumulative counts
-// of function segments matched fresh, replayed from the cache, and ruled
-// out by the per-function prefilter. The parity and fuzz tests read deltas
-// to assert that a warm run re-matched exactly the edited function.
-var (
-	fnMatched     atomic.Int64
-	fnReplayed    atomic.Int64
-	fnPrefiltered atomic.Int64
-)
-
-// FuncMatches returns the cumulative number of function segments matched
-// fresh by function-granular runs in this process.
-func FuncMatches() int64 { return fnMatched.Load() }
-
-// FuncReplays returns the cumulative number of function segments replayed
-// from the function-granular result cache in this process.
-func FuncReplays() int64 { return fnReplayed.Load() }
-
-// FuncPrefilters returns the cumulative number of function segments the
-// per-function prefilter ruled out without matching in this process.
-func FuncPrefilters() int64 { return fnPrefiltered.Load() }
-
 // fnRunner drives function-granular processing for one (compiled patch,
 // engine options) pair. nil when the patch is not function-local.
 type fnRunner struct {
@@ -288,9 +266,6 @@ func (r *fnRunner) apply(eng *core.Engine, tk *obs.Track, name, src string, pars
 					if r.filter != nil && !r.segMayMatchTraced(fk, store, segs, i) {
 						states[i].skipped = true
 						states[i].sr = &core.SegmentResult{Edits: transform.NewEditSet(parsed.Toks)}
-						if i < n {
-							fnPrefiltered.Add(1)
-						}
 						continue
 					}
 					states[i].sr, states[i].err = eng.RunSegment(core.SegmentJob{
@@ -395,8 +370,6 @@ func (r *fnRunner) apply(eng *core.Engine, tk *obs.Track, name, src string, pars
 		wsp.End()
 	}
 
-	fnMatched.Add(int64(freshFns))
-	fnReplayed.Add(int64(cachedFns))
 	mc := map[string]int{}
 	if total > 0 {
 		mc[r.ruleName] = total

@@ -220,16 +220,12 @@ func TestFunctionCacheFuzzOneEdit(t *testing.T) {
 	for iter := 0; iter < 25; iter++ {
 		consts[rng.Intn(k)] = 1000 + iter // always-fresh content, one function
 		files := build()
-		m0, r0 := FuncMatches(), FuncReplays()
 		got := runAll(t, warm, files)
 		want := runAll(t, scratch, files)
 		compareResults(t, fmt.Sprintf("iter %d", iter), got, want)
 		if only(got[0]).FuncsMatched != 1 || only(got[0]).FuncsCached != k-1 {
 			t.Fatalf("iter %d: matched=%d cached=%d, want 1/%d",
 				iter, only(got[0]).FuncsMatched, only(got[0]).FuncsCached, k-1)
-		}
-		if dm, dr := FuncMatches()-m0, FuncReplays()-r0; dm != 1 || dr != k-1 {
-			t.Fatalf("iter %d: instrumentation delta matched=%d replayed=%d, want 1/%d", iter, dm, dr, k-1)
 		}
 	}
 }

@@ -2,18 +2,18 @@ package batch
 
 import "sync"
 
-// runPool is the worker-pool core shared by single-patch runs and
-// campaigns: it dispatches indices 0..n-1 to workers, each worker applying
-// the process function its factory returned, and delivers results to yield
-// in increasing index order, stopping early when yield returns false. The
-// factory runs once per worker goroutine, giving each worker private
-// mutable state (its engines) and optionally a teardown hook (may be nil)
-// that runs when the worker goroutine exits — which is how each worker
-// closes its observability track's umbrella span; index extracts a result's
-// input position for the reorder buffer. Memory stays bounded by the
-// window: a file is admitted only when a slot is free, and a slot is
+// runPool is the campaign's worker-pool core: it dispatches indices 0..n-1
+// to workers, each worker applying the process function its factory
+// returned, and delivers results to yield in increasing index order,
+// stopping early when yield returns false. The factory runs once per
+// worker goroutine, giving each worker private mutable state (its engines)
+// and optionally a teardown hook (may be nil) that runs when the worker
+// goroutine exits — which is how each worker closes its observability
+// track's umbrella span; index extracts a result's input position for the
+// reorder buffer. Memory stays bounded by the window of 2x the worker
+// count: a file is admitted only when a slot is free, and a slot is
 // returned per delivered result.
-func runPool[T any](n, workers, window int, newWorker func() (func(int) T, func()), index func(T) int, yield func(T) bool) {
+func runPool[T any](n, workers int, newWorker func() (func(int) T, func()), index func(T) int, yield func(T) bool) {
 	jobs := make(chan int)
 	results := make(chan T, workers)
 	stop := make(chan struct{})
@@ -50,6 +50,7 @@ func runPool[T any](n, workers, window int, newWorker func() (func(int) T, func(
 	// consumer returns a slot per delivered result. This bounds undelivered
 	// results (and the reorder buffer below) to the window size even when
 	// one slow file holds up in-order delivery.
+	window := 2 * workers
 	slots := make(chan struct{}, window)
 	for i := 0; i < window; i++ {
 		slots <- struct{}{}

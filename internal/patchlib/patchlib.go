@@ -1,8 +1,8 @@
 // Package patchlib embeds the paper's fourteen semantic-patch use cases
 // (Section 3, "Enabled HPC Refactorings") as executable experiments. Each
 // experiment couples the semantic patch text with a representative input
-// workload and a checker for the transformation's expected shape; the
-// benchmark harness regenerates from this index.
+// workload and a checker for the transformation's expected shape. The
+// multiversion and unroll examples and the package's own tests run them.
 package patchlib
 
 import (
@@ -52,8 +52,8 @@ func (e Experiment) Run() (*core.Result, string, error) {
 	return res, out, nil
 }
 
-// RunOn executes the experiment's patch over a caller-provided source
-// (used by the benchmarks for size sweeps).
+// RunOn executes the experiment's patch over a caller-provided source, such
+// as a generated workload of another size.
 func (e Experiment) RunOn(src string) (*core.Result, string, error) {
 	return e.apply(src)
 }

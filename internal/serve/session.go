@@ -419,7 +419,8 @@ func (s *Session) stageMetrics() []stageMetric {
 	return out
 }
 
-// account folds a completed sweep into the session counters and totals.
+// account folds a completed sweep or single-file apply into the session
+// counters and returns its totals (Parsed and Read count the given states).
 func (s *Session) account(st batch.CampaignStats, states []*batch.FileState) RunStats {
 	out := RunStats{CampaignStats: st}
 	for _, ps := range st.PerPatch {
@@ -511,17 +512,7 @@ func (s *Session) runOneWith(camp *batch.Campaign, st *batch.FileState) (batch.C
 		return batch.CampaignFileResult{}, err
 	}
 	s.countFindings(out.Findings())
-	s.processed.Add(int64(stats.Files))
-	s.changed.Add(int64(stats.Changed))
-	s.errors.Add(int64(stats.Errors))
-	for _, ps := range stats.PerPatch {
-		s.patchCached.Add(int64(ps.Cached))
-		s.patchSkipped.Add(int64(ps.Skipped))
-		s.fnMatchedC.Add(int64(ps.FuncsMatched))
-		s.fnCachedC.Add(int64(ps.FuncsCached))
-		s.demoted.Add(int64(ps.Demoted))
-		s.warningsC.Add(int64(ps.Warnings))
-	}
+	s.account(stats, nil)
 	return out, nil
 }
 

@@ -133,41 +133,18 @@ func (o Options) batch() batch.Options {
 	}
 }
 
-// File is one source file to patch.
-type File struct {
-	Name string
-	Src  string
-}
+// File is one source file to patch: its name and text.
+type File = core.SourceFile
 
-// Result reports a patch application.
-type Result struct {
-	// Outputs maps file name to (possibly transformed) source text.
-	Outputs map[string]string
-	// Diffs maps file name to a unified diff; empty when unchanged.
-	Diffs map[string]string
-	// Matched reports which rules matched at least once.
-	Matched map[string]bool
-	// MatchCount counts matches per rule.
-	MatchCount map[string]int
-	// EnvsTruncated reports that the run hit Options.MaxEnvs and dropped
-	// matches: outputs are valid but possibly incomplete. Rerun with a
-	// larger cap to get every match.
-	EnvsTruncated bool
-	// Findings are the check-rule reports (match-only star rules and
-	// gocci:check rules; empty for pure transform patches).
-	Findings []Finding
-}
-
-// Changed lists files whose output differs from the input.
-func (r *Result) Changed() []string {
-	var out []string
-	for name, d := range r.Diffs {
-		if d != "" {
-			out = append(out, name)
-		}
-	}
-	return out
-}
+// Result reports a patch application: Outputs maps each file name to its
+// (possibly transformed) text, Diffs to a unified diff ("" when
+// unchanged), Matched and MatchCount record which rules matched and how
+// often, and Findings carries the check-rule reports (empty for pure
+// transform patches). EnvsTruncated reports that the run hit
+// Options.MaxEnvs and dropped matches: outputs are valid but possibly
+// incomplete, so rerun with a larger cap to get every match. Changed lists
+// the changed file names in sorted order.
+type Result = core.Result
 
 // Patch is a parsed semantic patch.
 type Patch struct {
@@ -242,36 +219,14 @@ func ParsePatchFile(path string) (*Patch, error) {
 
 // ScriptFunc is a native Go implementation of a script rule: it maps the
 // rule's input bindings to its declared outputs.
-type ScriptFunc func(inputs map[string]string) (map[string]string, error)
+type ScriptFunc = core.ScriptFunc
 
-// Warning is one finding of the post-transform verifier (Options.Verify).
-type Warning struct {
-	// Code identifies the check: "capture", "def-use", "pragma-roundtrip",
-	// "pragma-clause", or "parse".
-	Code string
-	// Func is the enclosing function's name, "" for file-scope findings.
-	Func string
-	// Message describes the finding.
-	Message string
-	// Unsafe marks findings that demote the edit; advisory findings ride
-	// along without demoting.
-	Unsafe bool
-}
-
-func (w Warning) String() string {
-	return verify.Warning{Code: w.Code, Func: w.Func, Message: w.Message, Unsafe: w.Unsafe}.String()
-}
-
-func publicWarnings(warns []verify.Warning) []Warning {
-	if len(warns) == 0 {
-		return nil
-	}
-	out := make([]Warning, len(warns))
-	for i, w := range warns {
-		out[i] = Warning{Code: w.Code, Func: w.Func, Message: w.Message, Unsafe: w.Unsafe}
-	}
-	return out
-}
+// Warning is one finding of the post-transform verifier (Options.Verify):
+// Code identifies the check ("capture", "def-use", "pragma-roundtrip",
+// "pragma-clause", or "parse"), Func names the enclosing function ("" for
+// file-scope findings), Message describes it, and Unsafe marks findings
+// that demote the edit — advisory findings ride along without demoting.
+type Warning = verify.Warning
 
 // Applier runs one patch over source files.
 type Applier struct {
@@ -290,24 +245,13 @@ func NewApplier(p *Patch, opts Options) *Applier {
 // RegisterScript installs a Go handler for the named script rule (instead of
 // the built-in restricted Python interpreter).
 func (a *Applier) RegisterScript(rule string, fn ScriptFunc) *Applier {
-	a.eng.RegisterScript(rule, core.ScriptFunc(fn))
+	a.eng.RegisterScript(rule, fn)
 	return a
 }
 
 // Apply runs the patch over the files.
 func (a *Applier) Apply(files ...File) (*Result, error) {
-	res, err := a.eng.Run(toSource(files))
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
-		Outputs:       res.Outputs,
-		Diffs:         res.Diffs,
-		Matched:       res.Matched,
-		MatchCount:    res.MatchCount,
-		EnvsTruncated: res.EnvsTruncated,
-		Findings:      res.Findings,
-	}, nil
+	return a.eng.Run(files)
 }
 
 // Apply is the one-shot convenience: parse and run.
@@ -347,99 +291,34 @@ func cacheStatus(c *cache.Cache) CacheStatus {
 	}
 }
 
-// PatchOutcome is one campaign member's effect on one file.
-type PatchOutcome struct {
-	// Patch is the member patch's name (its .cocci path).
-	Patch string
-	// MatchCount counts matches per rule of this patch in this file.
-	MatchCount map[string]int
-	// Changed reports this patch modified the file (relative to the text
-	// the preceding members left).
-	Changed bool
-	// Skipped reports the prefilter proved this patch cannot fire here.
-	Skipped bool
-	// Cached reports this patch's outcome was replayed from the result
-	// cache.
-	Cached bool
-	// EnvsTruncated reports this patch's run hit Options.MaxEnvs.
-	EnvsTruncated bool
-	// FuncsMatched and FuncsCached count this file's function segments
-	// matched fresh vs replayed by this patch's function-granular pipeline.
-	FuncsMatched int
-	FuncsCached  int
-	// Warnings are the post-transform verifier's findings for this patch on
-	// this file (only ever set under Options.Verify).
-	Warnings []Warning
-	// Demoted reports that an unsafe finding reverted this patch's edit:
-	// later members saw the text this patch received.
-	Demoted bool
-	// Findings are this patch's check-rule reports for this file.
-	Findings []Finding
-}
+// PatchOutcome is one campaign member's effect on one file: its rule match
+// counts (Matches totals them), whether it changed the file relative to the
+// text the preceding members left, whether the prefilter skipped it or the
+// result cache replayed it, its function-granular counters, and — under
+// Options.Verify — the verifier's Warnings and whether an unsafe one
+// Demoted the edit (later members then saw the text this patch received).
+// Findings are its check-rule reports for the file.
+type PatchOutcome = batch.PatchOutcome
 
 // CampaignFileResult is one file's outcome across every patch of a
-// campaign.
-type CampaignFileResult struct {
-	// Name is the input file name.
-	Name string
-	// Output is the file after every patch, in order; empty when Err is
-	// set.
-	Output string
-	// OutputElided reports that a resident run (Session) proved the file
-	// unchanged without ever reading it: Output is "" and the file's
-	// on-disk content is its own output. Never set by Campaign.
-	OutputElided bool
-	// Diff is the unified diff from the original input to Output.
-	Diff string
-	// Patches holds one outcome per member patch, in campaign order.
-	Patches []PatchOutcome
-	// Parsed reports that the sweep actually parsed the file's text.
-	Parsed bool
-	// Err is this file's failure; other files in the sweep still complete.
-	Err error
-}
+// campaign: the output after every member in order (empty when Err is
+// set), the unified Diff from the input, one PatchOutcome per member, and
+// whether the sweep parsed the file. Index is the file's position in the
+// input. OutputElided reports that a resident run (Session) proved the file
+// unchanged without reading it: Output is "" and the on-disk content is
+// its own output; Campaign never sets it. Err is this file's failure;
+// other files in the sweep still complete.
+type CampaignFileResult = batch.CampaignFileResult
 
-// Changed reports whether any patch modified the file.
-func (r CampaignFileResult) Changed() bool { return r.Diff != "" }
+// PatchStats aggregates one campaign member over a completed run: files
+// matched, changed, skipped by the prefilter, replayed from the cache,
+// demoted by the verifier, and its totals of matches, function segments
+// matched and cached, verifier warnings, and check findings.
+type PatchStats = batch.PatchStats
 
-// Findings gathers every member patch's check-rule reports for the file, in
-// campaign order.
-func (r CampaignFileResult) Findings() []Finding {
-	var out []Finding
-	for _, o := range r.Patches {
-		out = append(out, o.Findings...)
-	}
-	return out
-}
-
-// PatchStats aggregates one campaign member over a completed run.
-type PatchStats struct {
-	Patch   string // patch name
-	Matched int    // files where at least one of its rules matched
-	Changed int    // files it modified
-	Matches int    // total rule matches
-	Skipped int    // files its prefilter rejected
-	Cached  int    // files replayed from the result cache
-	// FuncsMatched and FuncsCached total the member's function-granular
-	// counters across the run.
-	FuncsMatched int
-	FuncsCached  int
-	// Demoted counts files where the verifier reverted this patch's edit;
-	// Warnings totals its verifier findings (Options.Verify).
-	Demoted  int
-	Warnings int
-	// Findings totals this patch's check-rule reports across all files.
-	Findings int
-}
-
-// CampaignStats aggregates a completed campaign run.
-type CampaignStats struct {
-	Files    int // files processed
-	Changed  int // files whose final output differs from the input
-	Errors   int // files that failed
-	Parsed   int // files the sweep actually parsed (vs replayed/skipped)
-	PerPatch []PatchStats
-}
+// CampaignStats aggregates a completed campaign run: files processed,
+// changed, failed, and parsed, plus one PatchStats per member.
+type CampaignStats = batch.CampaignStats
 
 // Campaign applies an ordered collection of patches across many files in
 // one sweep — the recurring-maintenance workload where a library of
@@ -465,11 +344,16 @@ type Campaign struct {
 // Options.Defines must be declared `virtual` by at least one member patch;
 // members that do not declare it simply do not see it.
 func NewCampaign(patches []*Patch, opts Options) *Campaign {
+	return &Campaign{c: batch.NewCampaign(smplPatches(patches), opts.batch()), patches: patches}
+}
+
+// smplPatches unwraps the public patches to their parsed trees.
+func smplPatches(patches []*Patch) []*smpl.Patch {
 	sp := make([]*smpl.Patch, len(patches))
 	for i, p := range patches {
 		sp[i] = p.p
 	}
-	return &Campaign{c: batch.NewCampaign(sp, opts.batch()), patches: patches}
+	return sp
 }
 
 // Patches returns the member patches in application order.
@@ -482,7 +366,7 @@ func (c *Campaign) Patches() []*Patch { return c.patches }
 // behaviour is not captured by the patch hash the cache keys on); the scan
 // cache stays active.
 func (c *Campaign) RegisterScript(rule string, fn ScriptFunc) *Campaign {
-	c.c.RegisterScript(rule, core.ScriptFunc(fn))
+	c.c.RegisterScript(rule, fn)
 	return c
 }
 
@@ -493,7 +377,7 @@ func (c *Campaign) RegisterScript(rule string, fn ScriptFunc) *Campaign {
 // bumping the version invalidates every cached outcome the handler helped
 // produce.
 func (c *Campaign) RegisterScriptVersioned(rule, version string, fn ScriptFunc) *Campaign {
-	c.c.RegisterScriptVersioned(rule, version, core.ScriptFunc(fn))
+	c.c.RegisterScriptVersioned(rule, version, fn)
 	return c
 }
 
@@ -504,14 +388,10 @@ func (c *Campaign) CacheStatus() CacheStatus { return cacheStatus(c.c.Cache()) }
 // Breaking out of the loop stops the sweep early; memory stays bounded by
 // the worker window, not the corpus size. A configuration error (e.g. an
 // Options.Defines name no member declares virtual) is delivered once, as a
-// single result with an empty Name, instead of once per file;
+// single result with Index -1 and an empty Name, instead of once per file;
 // ApplyAllFunc returns it as the run error.
 func (c *Campaign) ApplyAll(files []File) iter.Seq[CampaignFileResult] {
-	return func(yield func(CampaignFileResult) bool) {
-		c.c.Run(toSource(files), func(fr batch.CampaignFileResult) bool {
-			return yield(publicCampaignResult(fr))
-		})
-	}
+	return func(yield func(CampaignFileResult) bool) { c.c.Run(files, yield) }
 }
 
 // ApplyAllPaths is ApplyAll over on-disk files: each worker reads its file
@@ -519,11 +399,7 @@ func (c *Campaign) ApplyAll(files []File) iter.Seq[CampaignFileResult] {
 // corpus is ever resident in memory. Unreadable files report the error in
 // their result like any other per-file failure.
 func (c *Campaign) ApplyAllPaths(paths []string) iter.Seq[CampaignFileResult] {
-	return func(yield func(CampaignFileResult) bool) {
-		c.c.RunPaths(paths, func(fr batch.CampaignFileResult) bool {
-			return yield(publicCampaignResult(fr))
-		})
-	}
+	return func(yield func(CampaignFileResult) bool) { c.c.RunPaths(paths, yield) }
 }
 
 // ApplyAllFunc is the callback form of ApplyAll: fn (which may be nil)
@@ -531,74 +407,10 @@ func (c *Campaign) ApplyAllPaths(paths []string) iter.Seq[CampaignFileResult] {
 // statistics are returned. A non-nil error from fn stops the sweep and is
 // returned; per-file failures only count in CampaignStats.Errors.
 func (c *Campaign) ApplyAllFunc(files []File, fn func(CampaignFileResult) error) (CampaignStats, error) {
-	st, err := c.c.Collect(toSource(files), wrapCampaignCallback(fn))
-	return publicCampaignStats(st), err
+	return c.c.Collect(files, fn)
 }
 
 // ApplyAllPathsFunc is the callback form of ApplyAllPaths.
 func (c *Campaign) ApplyAllPathsFunc(paths []string, fn func(CampaignFileResult) error) (CampaignStats, error) {
-	st, err := c.c.CollectPaths(paths, wrapCampaignCallback(fn))
-	return publicCampaignStats(st), err
-}
-
-func publicCampaignResult(fr batch.CampaignFileResult) CampaignFileResult {
-	out := CampaignFileResult{
-		Name:         fr.Name,
-		Output:       fr.Output,
-		OutputElided: fr.OutputElided,
-		Diff:         fr.Diff,
-		Parsed:       fr.Parsed,
-		Err:          fr.Err,
-	}
-	for _, o := range fr.Patches {
-		out.Patches = append(out.Patches, PatchOutcome{
-			Patch:         o.Patch,
-			MatchCount:    o.MatchCount,
-			Changed:       o.Changed,
-			Skipped:       o.Skipped,
-			Cached:        o.Cached,
-			EnvsTruncated: o.EnvsTruncated,
-			FuncsMatched:  o.FuncsMatched,
-			FuncsCached:   o.FuncsCached,
-			Warnings:      publicWarnings(o.Warnings),
-			Demoted:       o.Demoted,
-			Findings:      o.Findings,
-		})
-	}
-	return out
-}
-
-func publicCampaignStats(st batch.CampaignStats) CampaignStats {
-	out := CampaignStats{Files: st.Files, Changed: st.Changed, Errors: st.Errors, Parsed: st.Parsed}
-	for _, ps := range st.PerPatch {
-		out.PerPatch = append(out.PerPatch, PatchStats{
-			Patch:        ps.Patch,
-			Matched:      ps.Matched,
-			Changed:      ps.Changed,
-			Matches:      ps.Matches,
-			Skipped:      ps.Skipped,
-			Cached:       ps.Cached,
-			FuncsMatched: ps.FuncsMatched,
-			FuncsCached:  ps.FuncsCached,
-			Demoted:      ps.Demoted,
-			Warnings:     ps.Warnings,
-			Findings:     ps.Findings,
-		})
-	}
-	return out
-}
-
-func wrapCampaignCallback(fn func(CampaignFileResult) error) func(batch.CampaignFileResult) error {
-	if fn == nil {
-		return nil
-	}
-	return func(fr batch.CampaignFileResult) error { return fn(publicCampaignResult(fr)) }
-}
-
-func toSource(files []File) []core.SourceFile {
-	in := make([]core.SourceFile, len(files))
-	for i, f := range files {
-		in[i] = core.SourceFile{Name: f.Name, Src: f.Src}
-	}
-	return in
+	return c.c.CollectPaths(paths, fn)
 }

@@ -53,6 +53,27 @@ func TestApplierMultipleFiles(t *testing.T) {
 	}
 }
 
+// TestResultChangedSorted pins Result.Changed to sorted file-name order on
+// every call, whatever order the Diffs map iterates in.
+func TestResultChangedSorted(t *testing.T) {
+	names := []string{"e.c", "b.c", "d.c", "a.c", "c.c", "g.c"}
+	var files []File
+	for _, n := range names {
+		files = append(files, File{Name: n, Src: "void f(void){ foo(1); }\n"})
+	}
+	files = append(files, File{Name: "f.c", Src: "void g(void){ nothing(); }\n"})
+	res, err := Apply("r.cocci", renamePatch, Options{}, files...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := slices.Sorted(slices.Values(names))
+	for i := 0; i < 20; i++ {
+		if got := res.Changed(); !slices.Equal(got, want) {
+			t.Fatalf("call %d: Changed() = %v, want %v", i, got, want)
+		}
+	}
+}
+
 func TestPatchRules(t *testing.T) {
 	p, err := ParsePatch("two.cocci", "@one@\n@@\n- a();\n\n@two depends on one@\n@@\n- b();\n")
 	if err != nil {

@@ -8,13 +8,10 @@ package sempatch
 // (Server.Handler, the API cmd/gocci-serve exposes); see docs/serve.md.
 
 import (
-	"io"
 	"net/http"
 	"time"
 
-	"repro/internal/batch"
 	"repro/internal/serve"
-	"repro/internal/smpl"
 )
 
 // Server hosts resident corpus sessions and the HTTP/JSON API over them.
@@ -42,33 +39,19 @@ func (s *Server) Handler() http.Handler { return s.s.Handler() }
 // an unusable cache directory, a duplicate id — are returned here, never
 // deferred to the first request.
 func (s *Server) AddSession(cfg SessionConfig) (*Session, error) {
-	patches := make([]*smpl.Patch, len(cfg.Patches))
-	for i, p := range cfg.Patches {
-		patches[i] = p.p
-	}
-	ss, err := s.s.AddSession(serve.Config{
+	return s.s.AddSession(serve.Config{
 		ID:              cfg.ID,
 		Root:            cfg.Root,
-		Patches:         patches,
+		Patches:         smplPatches(cfg.Patches),
 		Options:         cfg.Options.batch(),
 		ASTCacheSize:    cfg.ASTCacheSize,
 		MemCacheEntries: cfg.MemCacheEntries,
 		WatchInterval:   cfg.WatchInterval,
 	})
-	if err != nil {
-		return nil, err
-	}
-	return &Session{s: ss}, nil
 }
 
 // Session returns a registered session by id.
-func (s *Server) Session(id string) (*Session, bool) {
-	ss, ok := s.s.Session(id)
-	if !ok {
-		return nil, false
-	}
-	return &Session{s: ss}, true
-}
+func (s *Server) Session(id string) (*Session, bool) { return s.s.Session(id) }
 
 // Close stops every session's watcher goroutine. Sessions stay usable;
 // only background invalidation stops.
@@ -100,106 +83,29 @@ type SessionConfig struct {
 
 // Session is one resident corpus: compiled campaign, cache stack, and
 // per-file validation state. All methods are safe for concurrent use.
-type Session struct {
-	s *serve.Session
-}
-
-// ID returns the session's identifier.
-func (s *Session) ID() string { return s.s.ID() }
-
-// Root returns the corpus directory.
-func (s *Session) Root() string { return s.s.Root() }
+//
+// Run sweeps the whole corpus through the campaign, streaming per-file
+// results in sorted path order; resident artifacts are revalidated by
+// stat, reused where valid, re-derived and kept where not, and outputs are
+// byte-identical to a cold batch run over the same tree. ApplyPath applies
+// the campaign to one corpus file named relative to the root (the path
+// must stay inside it); ApplySnippet applies it to an in-memory snippet
+// that never enters the corpus state. WriteTrace writes the most recent
+// sweep's trace as Chrome trace-event JSON, the payload GET
+// /v1/sessions/{id}/trace serves. Invalidate drops every resident artifact
+// (the content-addressed disk cache, never stale, is untouched), and Close
+// stops the session's watcher.
+type Session = serve.Session
 
 // ServeRunStats aggregates one resident sweep: the campaign statistics
-// plus the resident-state accounting that distinguishes a warm daemon
-// from a cold batch run.
-type ServeRunStats struct {
-	CampaignStats
-	// Cached and Skipped total the per-patch counters across the campaign.
-	Cached  int
-	Skipped int
-	// FuncsMatched and FuncsCached total the function-granular counters:
-	// function segments matched fresh vs replayed from the segment cache. A
-	// warm sweep after editing one function of one file shows FuncsMatched
-	// == 1 per function-local member patch.
-	FuncsMatched int
-	FuncsCached  int
-	// Parsed counts files whose input text was parsed this sweep — after
-	// editing k of N corpus files, a warm sweep parses exactly k. Read
-	// counts files whose bytes were read at all.
-	Parsed int
-	Read   int
-	// Demoted and Warnings total the post-transform verifier's demotions
-	// and findings across the campaign (Options.Verify runs only).
-	Demoted  int
-	Warnings int
-	// StageSeconds is this sweep's per-stage self-time in seconds, from the
-	// run's internal trace ("worker" and "file" are pool glue and
-	// scheduling; the rest are pipeline stages).
-	StageSeconds map[string]float64
-}
-
-// Run sweeps the whole corpus through the campaign, streaming per-file
-// results to fn (which may be nil) in sorted path order. Resident
-// artifacts are revalidated by stat, reused where valid, re-derived and
-// kept where not; outputs are byte-identical to a cold batch run over the
-// same tree. A non-nil error from fn stops the sweep.
-func (s *Session) Run(fn func(CampaignFileResult) error) (ServeRunStats, error) {
-	var wrapped func(batch.CampaignFileResult) error
-	if fn != nil {
-		wrapped = func(fr batch.CampaignFileResult) error { return fn(publicCampaignResult(fr)) }
-	}
-	st, err := s.s.Run(wrapped)
-	return ServeRunStats{
-		CampaignStats: publicCampaignStats(st.CampaignStats),
-		Cached:        st.Cached,
-		Skipped:       st.Skipped,
-		FuncsMatched:  st.FuncsMatched,
-		FuncsCached:   st.FuncsCached,
-		Parsed:        st.Parsed,
-		Read:          st.Read,
-		Demoted:       st.Demoted,
-		Warnings:      st.Warnings,
-		StageSeconds:  st.StageSeconds,
-	}, err
-}
-
-// WriteTrace writes the most recent full sweep's trace as Chrome
-// trace-event JSON (loadable in Perfetto), reporting false when the session
-// has not swept yet — the same payload GET /v1/sessions/{id}/trace serves.
-func (s *Session) WriteTrace(w io.Writer) (bool, error) { return s.s.WriteTrace(w) }
-
-// ApplyPath applies the session's campaign to one corpus file named
-// relative to the root, reusing and refreshing resident artifacts. The
-// path must stay inside the root.
-func (s *Session) ApplyPath(rel string) (CampaignFileResult, error) {
-	fr, err := s.s.ApplyPath(rel)
-	if err != nil {
-		return CampaignFileResult{}, err
-	}
-	return publicCampaignResult(fr), nil
-}
-
-// ApplySnippet applies the session's campaign to an in-memory snippet.
-// Repeated snippets replay from the session's result cache; the snippet
-// never enters the corpus state.
-func (s *Session) ApplySnippet(name, src string) (CampaignFileResult, error) {
-	fr, err := s.s.ApplySnippet(name, src)
-	if err != nil {
-		return CampaignFileResult{}, err
-	}
-	return publicCampaignResult(fr), nil
-}
-
-// Invalidate drops every resident artifact, forcing the next request to
-// re-derive hashes, word sets, and parse trees. The content-addressed
-// disk cache (never stale) is untouched.
-func (s *Session) Invalidate() { s.s.Invalidate() }
+// plus the resident-state accounting that distinguishes a warm daemon from
+// a cold batch run — totals of the per-patch Cached, Skipped,
+// FuncsMatched, FuncsCached, Demoted and Warnings counters, the files Read
+// and Parsed this sweep (after editing k of N corpus files, a warm sweep
+// parses exactly k), and the sweep's per-stage self-time in StageSeconds.
+type ServeRunStats = serve.RunStats
 
 // SessionStats is a point-in-time snapshot of a session's resident state
 // and cumulative counters — the same data GET /v1/sessions/{id}/stats
 // serves.
 type SessionStats = serve.SessionStats
-
-// Stats snapshots the session.
-func (s *Session) Stats() SessionStats { return s.s.Stats() }

@@ -162,6 +162,14 @@ func TestDocsLinks(t *testing.T) {
 var removedNames = regexp.MustCompile(
 	`\b(NewBatchApplier|BatchApplier|BatchStats|FileResult|soleResults?|soleStats|soleCallback)\b|repro/internal/ctl\b|--no-fn-cache`)
 
+// removedCalls are internal functions only tests called; the tests that
+// still need one keep it in a _test.go file. No non-test Go may call them
+// again: cast.Compounds, cfg.(*Graph).Reachable and StmtNodes,
+// transform.(*EditSet).Deleted, match.Binding.Synthesized,
+// minipy.(*Interp).Global and cparse.ParseExpr.
+var removedCalls = regexp.MustCompile(
+	`\b(Compounds|ParseExpr)\(|\.(Reachable|StmtNodes|Deleted|Synthesized|Global)\(`)
+
 func TestRemovedNamesStayGone(t *testing.T) {
 	// The function-cache switch is internal (batch.Options.NoFuncCache,
 	// for the differential tests); outputs never depend on it.
@@ -207,6 +215,9 @@ func TestRemovedNamesStayGone(t *testing.T) {
 		for i, line := range strings.Split(string(b), "\n") {
 			if m := removedNames.FindString(line); m != "" {
 				t.Errorf("%s:%d: %s was removed; a batch run is a Campaign (docs/batch.md)", f, i+1, m)
+			}
+			if m := removedCalls.FindString(line); m != "" {
+				t.Errorf("%s:%d: %s was removed; only tests used it", f, i+1, m)
 			}
 		}
 	}

@@ -61,6 +61,11 @@ type Campaign struct {
 	// what disables the result cache (see resultCacheable).
 	scriptVers map[string]string
 	keyOnce    sync.Once
+	// key is the whole campaign's result-cache key (cache.CampaignKey over
+	// the ordered member keys), filled with them when the campaign has
+	// several members: the record of a file that several members change
+	// carries the composed diff hunks under it (processState).
+	key string
 	// store is the cache the run reads and writes through (nil when caching
 	// is disabled); disk is the *cache.Cache opened from Options.CacheDir,
 	// kept separately for status reporting (nil when the store was supplied
@@ -164,9 +169,14 @@ func (c *Campaign) keys() {
 		if c.store == nil {
 			return
 		}
-		for _, cp := range c.patches {
+		members := make([]string, len(c.patches))
+		for i, cp := range c.patches {
 			cp.key = cache.ResultKey(cp.patch.Src,
 				keyFingerprint(cp.engOpts, c.opts.Verify, cp.patch.HasChecks(), c.scriptVers))
+			members[i] = cp.key
+		}
+		if len(members) > 1 {
+			c.key = cache.CampaignKey(members)
 		}
 	})
 }
@@ -348,16 +358,17 @@ func (c *Campaign) run(n int, tr *obs.Tracer, get func(int) *FileState, yield fu
 		return func(idx int) CampaignFileResult {
 			return c.processState(engines, popts, tk, get(idx), idx)
 		}, wsp.End
-	}, func(fr CampaignFileResult) int { return fr.Index }, yield)
+	}, yield)
 }
 
-// put persists one member outcome when result caching is on.
-func (c *Campaign) put(tk *obs.Track, cp *campaignPatch, fileHash string, rec *cache.Record) {
+// put persists one outcome under a member's (or the whole campaign's) key
+// when result caching is on.
+func (c *Campaign) put(tk *obs.Track, key, fileHash string, rec *cache.Record) {
 	if !c.resultCacheable() || fileHash == "" {
 		return
 	}
 	sp := tk.Start(obs.StageCacheWrite)
-	c.store.PutResult(cp.key, fileHash, rec)
+	c.store.PutResult(key, fileHash, rec)
 	sp.End()
 }
 

@@ -9,13 +9,12 @@ import "sync"
 // worker goroutine, giving each worker private mutable state (its engines)
 // and optionally a teardown hook (may be nil) that runs when the worker
 // goroutine exits — which is how each worker closes its observability
-// track's umbrella span; index extracts a result's input position for the
-// reorder buffer. Memory stays bounded by the window of 2x the worker
-// count: a file is admitted only when a slot is free, and a slot is
+// track's umbrella span. Memory stays bounded by the window of 2x the
+// worker count: a file is admitted only when a slot is free, and a slot is
 // returned per delivered result.
-func runPool[T any](n, workers int, newWorker func() (func(int) T, func()), index func(T) int, yield func(T) bool) {
+func runPool(n, workers int, newWorker func() (func(int) CampaignFileResult, func()), yield func(CampaignFileResult) bool) {
 	jobs := make(chan int)
-	results := make(chan T, workers)
+	results := make(chan CampaignFileResult, workers)
 	stop := make(chan struct{})
 
 	var wg sync.WaitGroup
@@ -76,7 +75,7 @@ func runPool[T any](n, workers int, newWorker func() (func(int) T, func()), inde
 	}()
 
 	// Reorder buffer: workers finish in any order, delivery is by index.
-	pending := map[int]T{}
+	pending := map[int]CampaignFileResult{}
 	next := 0
 	stopped := false
 	for fr := range results {
@@ -84,7 +83,7 @@ func runPool[T any](n, workers int, newWorker func() (func(int) T, func()), inde
 		if stopped {
 			continue
 		}
-		pending[index(fr)] = fr
+		pending[fr.Index] = fr
 		for {
 			out, ok := pending[next]
 			if !ok {

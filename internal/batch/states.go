@@ -260,7 +260,7 @@ func (c *Campaign) processState(engines []*core.Engine, popts cparse.Options, tk
 			if !pass {
 				o.Skipped = true
 				o.MatchCount = map[string]int{}
-				c.put(tk, cp, curHash, &cache.Record{Skipped: true})
+				c.put(tk, cp.key, curHash, &cache.Record{Skipped: true})
 				fr.Patches = append(fr.Patches, o)
 				continue
 			}
@@ -309,7 +309,7 @@ func (c *Campaign) processState(engines []*core.Engine, popts cparse.Options, tk
 						hunks = c.recordHunks(tk, st.Name, cur, next, rec)
 					}
 				}
-				c.put(tk, cp, curHash, rec)
+				c.put(tk, cp.key, curHash, rec)
 				if o.Changed {
 					changers++
 					cur, curLoaded, curIsInput = next, true, false
@@ -345,7 +345,7 @@ func (c *Campaign) processState(engines []*core.Engine, popts cparse.Options, tk
 				hunks = c.recordHunks(tk, st.Name, cur, out, rec)
 			}
 		}
-		c.put(tk, cp, curHash, rec)
+		c.put(tk, cp.key, curHash, rec)
 		if o.Changed {
 			changers++
 			cur, curLoaded, curIsInput = out, true, false
@@ -366,23 +366,51 @@ func (c *Campaign) processState(engines []*core.Engine, popts cparse.Options, tk
 	fr.Output = cur
 	if changers == 1 && hunks != "" {
 		// The one change's hunks are the whole file's: no read, no diff.
-		fr.Diff = diff.Header("a/"+st.Name, "b/"+st.Name) + hunks
+		fr.Diff = labelHunks(st.Name, hunks)
 		return fr
+	}
+	// Several members changed the file: the campaign record, keyed by the
+	// input hash and the whole campaign, carries the composed hunks.
+	composed := changers > 1 && c.resultCacheable() && st.Hash != ""
+	if composed {
+		csp := tk.Start(obs.StageCacheRead).File(st.Name)
+		rec, hit := c.store.Result(c.key, st.Hash)
+		if hit {
+			csp.Outcome(obs.OutcomeHit).End()
+			fr.Diff = labelHunks(st.Name, rec.Diff)
+			return fr
+		}
+		csp.Outcome(obs.OutcomeMiss).End()
 	}
 	if err := loadInput(); err != nil { // the diff needs the original input
 		return fail(err)
 	}
 	dsp := tk.Start(obs.StageRender).File(st.Name)
-	fr.Diff = diff.Unified("a/"+st.Name, "b/"+st.Name, st.Src, cur)
+	hunks = diff.Hunks(st.Src, cur)
+	fr.Diff = labelHunks(st.Name, hunks)
 	dsp.End()
+	if composed {
+		c.put(tk, c.key, st.Hash, &cache.Record{Changed: true, Diff: hunks})
+	}
 	return fr
+}
+
+// labelHunks is diff.Unified for stored hunks: the header with the file's
+// own name, or "" when the hunks are empty (the input and output are the
+// same text).
+func labelHunks(name, hunks string) string {
+	if hunks == "" {
+		return ""
+	}
+	return diff.Header("a/"+name, "b/"+name) + hunks
 }
 
 // recordHunks stores in rec, and returns, the diff hunks of the first
 // member change to a file (input → after), so a replay of rec needs neither
 // the input nor a diff. It computes nothing when rec will not be cached: a
-// run without a store diffs the file once at the end, as a file with
-// several changers always is.
+// run without a store diffs the file once at the end. A file several
+// members change replays its diff from the campaign record instead, which
+// the end of processState reads and writes.
 func (c *Campaign) recordHunks(tk *obs.Track, name, before, after string, rec *cache.Record) string {
 	if !c.resultCacheable() {
 		return ""

@@ -1,7 +1,7 @@
 // Package cache implements gocci's persistent corpus index: an on-disk
 // store, keyed by content hashes, that lets repeated semantic-patch runs
 // over a slowly-changing source tree skip work they have already done. It
-// holds two layers:
+// holds these layers:
 //
 //   - a *scan cache* mapping a file's content hash to the set of
 //     identifier-like words in its bytes, so the required-atom prefilter
@@ -12,6 +12,12 @@
 //     whether it changed, and the transformed text when it did — so a warm
 //     re-run over an unchanged corpus skips scanning, parsing, matching,
 //     and transforming entirely;
+//   - a *campaign record* per file that several members of one campaign
+//     change, a Record stored in the result layer under the whole
+//     campaign's key (CampaignKey, over the ordered member keys): it
+//     carries only the composed diff hunks from the input to the final
+//     text, so a warm replay prints that file's diff without reading or
+//     diffing it;
 //   - a *function-granular result cache* mapping (patch hash, effective
 //     options, function hash) to the outcome of matching one function
 //     segment (or a file's inter-function residue), so editing one function
@@ -128,6 +134,13 @@ func ResultKey(patchSrc, fingerprint string) string {
 	return HashString(patchSrc + "\x00" + fingerprint)
 }
 
+// CampaignKey derives the result-cache key of a whole campaign from its
+// members' ResultKeys, in campaign order, so reordering the members changes
+// it. It never equals a member key: "campaign" is no options fingerprint.
+func CampaignKey(memberKeys []string) string {
+	return ResultKey(strings.Join(memberKeys, "\n"), "campaign")
+}
+
 // scanPath shards scan entries by the first hash byte to keep directories
 // small on big corpora.
 func (c *Cache) scanPath(fileHash string) string {
@@ -185,7 +198,9 @@ type Record struct {
 	MatchCount map[string]int `json:"match_count,omitempty"`
 	// Changed reports that the output differs from the input; Output then
 	// holds the transformed text and Sum the content hash of Output and
-	// Diff together.
+	// Diff together. A campaign record (CampaignKey) is Changed with an
+	// empty Output: the members' records hold the texts, and its Diff,
+	// the composed hunks, is "" when the members' changes cancel out.
 	Changed bool   `json:"changed,omitempty"`
 	Output  string `json:"output,omitempty"`
 	// Diff, when set, holds the label-free unified diff hunks

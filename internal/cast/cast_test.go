@@ -70,9 +70,21 @@ func TestExprsOrder(t *testing.T) {
 	}
 }
 
+// compounds collects every compound statement in the tree rooted at n.
+func compounds(n cast.Node) []*cast.Compound {
+	var out []*cast.Compound
+	cast.Walk(n, func(m cast.Node) bool {
+		if c, ok := m.(*cast.Compound); ok && c != nil {
+			out = append(out, c)
+		}
+		return true
+	})
+	return out
+}
+
 func TestCompounds(t *testing.T) {
 	f := parse(t, "void f(int x){ { a(); } if (x) { b(); } }")
-	cs := cast.Compounds(f)
+	cs := compounds(f)
 	if len(cs) != 3 { // body, inner block, if-then
 		t.Errorf("compounds=%d want 3", len(cs))
 	}

@@ -315,18 +315,6 @@ func Exprs(n Node) []Expr {
 	return out
 }
 
-// Compounds collects every compound statement in the tree rooted at n.
-func Compounds(n Node) []*Compound {
-	var out []*Compound
-	Walk(n, func(m Node) bool {
-		if c, ok := m.(*Compound); ok && c != nil {
-			out = append(out, c)
-		}
-		return true
-	})
-	return out
-}
-
 // Funcs returns all function definitions with bodies in the file.
 func (f *File) Funcs() []*FuncDef {
 	var out []*FuncDef

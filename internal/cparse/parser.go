@@ -90,27 +90,6 @@ func ParseTokens(lf *ctoken.File, opts Options) (*cast.File, error) {
 	return f, nil
 }
 
-// ParseExpr parses a standalone expression (used by tests and by the SmPL
-// pattern compiler for expression patterns and `when != e` constraints).
-func ParseExpr(src string, opts Options) (cast.Expr, *ctoken.File, error) {
-	lf, err := ctoken.Lex("<expr>", src, ctoken.Options{
-		SmPL:         opts.pattern(),
-		CUDAChevrons: true,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	p := &parser{toks: lf.Tokens, file: lf, opts: opts}
-	e, err := p.parseExpr(precComma + 1)
-	if err != nil {
-		return nil, nil, err
-	}
-	if !p.at(ctoken.EOF) {
-		return nil, nil, p.errHere("trailing tokens after expression")
-	}
-	return e, lf, nil
-}
-
 // ParseStmts parses a brace-less statement sequence (used for SmPL
 // statement-sequence patterns and plus-line fragments).
 func ParseStmts(src string, opts Options) ([]cast.Stmt, *ctoken.File, error) {

@@ -31,9 +31,6 @@ type Binding struct {
 	File string
 }
 
-// Synthesized reports whether the binding has no code token range.
-func (b Binding) Synthesized() bool { return b.First < 0 }
-
 // NewValueBinding makes a synthesized binding (script outputs, fresh ids).
 func NewValueBinding(kind cast.MetaKind, text string) Binding {
 	return Binding{Kind: kind, Text: text, Norm: text, First: -1, Last: -2}

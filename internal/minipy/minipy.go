@@ -35,12 +35,6 @@ func New() *Interp {
 	return &Interp{globals: map[string]Value{}}
 }
 
-// Global returns a global value (for tests and the engine).
-func (in *Interp) Global(name string) (Value, bool) {
-	v, ok := in.globals[name]
-	return v, ok
-}
-
 // An Error reports a script failure.
 type Error struct {
 	Line int

@@ -107,7 +107,7 @@ func TestGlobalsPersistAcrossExec(t *testing.T) {
 	if out["y"].Str != "v1!" {
 		t.Errorf("y=%q", out["y"].Str)
 	}
-	if v, ok := in.Global("G"); !ok || v.Str != "v1" {
+	if v, ok := in.globals["G"]; !ok || v.Str != "v1" {
 		t.Errorf("global G=%+v ok=%v", v, ok)
 	}
 }

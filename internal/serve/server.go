@@ -419,7 +419,9 @@ type CheckSummary struct {
 // within each file, which is the CLI's global sort order), then exactly one
 // summary line. The sweep is the same resident-artifact sweep as /run —
 // rewrites are computed but never written anywhere — so a warm check over
-// an unchanged corpus replays every finding with Parsed == 0.
+// an unchanged corpus replays every finding with Parsed == 0 and reads no
+// file: the diffs it does not stream replay from the stored records (the
+// campaign record for a file several members change), never from a diff.
 func (srv *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	srv.requests.check.Add(1)
 	defer srv.observeLatency("check", time.Now())

@@ -70,9 +70,6 @@ func (e *EditSet) DeleteRange(first, last int) {
 	}
 }
 
-// Deleted reports whether token i is marked deleted.
-func (e *EditSet) Deleted(i int) bool { return e.del[i] }
-
 // Insert queues text at the anchor with the given placement.
 func (e *EditSet) Insert(anchor int, place Where, text string) {
 	e.ins = append(e.ins, Insertion{Anchor: anchor, Place: place, Text: text})
